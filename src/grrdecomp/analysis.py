@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .drawing import Drawing, clockwise_order
+from .drawing import Drawing, clockwise_order, components
 from .errors import (
     DegeneratePathError,
     GRRError,
@@ -243,18 +243,9 @@ def tree_increasing_chord(d: Drawing, edge_subset) -> bool:
     if len(subset) != len(verts) - 1:
         return False
     sset = set(subset)
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for idx in d.adjacency[v]:
-            if idx in sset:
-                w = d.other_endpoint(idx, v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    if seen != verts:
+    if len(components(verts, lambda v: [
+            d.other_endpoint(idx, v) for idx in d.adjacency[v]
+            if idx in sset])) != 1:
         return False
     for i in subset:
         for j in subset:

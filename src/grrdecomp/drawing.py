@@ -173,19 +173,34 @@ class RootedTree:
     subtree: Mapping[int, frozenset[int]]
 
 
+def components(nodes: Iterable, neighbours) -> list[set]:
+    """Connected components of a graph, in order of their first node.
+
+    nodes lists every node; neighbours(v) yields the nodes adjacent to v.
+    """
+    seen: set = set()
+    comps: list[set] = []
+    for start in nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in neighbours(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
 def _check_tree(d: Drawing) -> None:
     if d.n_vertices == 0 or d.n_edges != d.n_vertices - 1:
         raise NotATreeError("drawing is not a tree (edge count)")
-    seen = {d.vertex_ids[0]}
-    stack = [d.vertex_ids[0]]
-    while stack:
-        v = stack.pop()
-        for idx in d.adjacency[v]:
-            w = d.other_endpoint(idx, v)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != d.n_vertices:
+    if len(components(d.vertex_ids, lambda v: [
+            d.other_endpoint(idx, v) for idx in d.adjacency[v]])) != 1:
         raise NotATreeError("drawing is not connected")
 
 

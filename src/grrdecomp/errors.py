@@ -102,10 +102,6 @@ class PieceNotSimpleError(InputError):
 
 # -- operational ------------------------------------------------------------
 
-class NotDecomposableError(GRRError):
-    """No decomposition satisfying the request exists."""
-
-
 class BudgetExceededError(GRRError):
     """An exact search was asked to exceed its instance-size budget."""
 

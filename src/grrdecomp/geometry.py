@@ -60,9 +60,6 @@ def pt(x: Coord, y: Coord) -> Point:
     return Point(frac(x), frac(y))
 
 
-ORIGIN = pt(0, 0)
-
-
 def dot(a: Point, b: Point) -> Fraction:
     return a.x * b.x + a.y * b.y
 

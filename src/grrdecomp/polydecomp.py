@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .analysis import polygon_is_grr, triangles_conflict
+from .drawing import components
 from .errors import (
     BudgetExceededError,
     CrossingDiagonalsError,
@@ -66,24 +67,34 @@ class TriangulatedPolygon:
 
 
 def _split_triangles(cycle: list[int], diag_set: frozenset) -> list[tuple]:
-    if len(cycle) == 3:
-        return [tuple(cycle)]
-    k = len(cycle)
-    pos = {v: i for i, v in enumerate(cycle)}
-    for a, b in sorted(diag_set):
-        ia, ib = pos.get(a), pos.get(b)
-        if ia is None or ib is None:
+    """Triangles of a triangulated cycle: each sub-polygon is split at
+    the first diagonal joining two of its non-adjacent vertices, and the
+    triangles of the left part come before those of the right part."""
+    diags = sorted(diag_set)
+    out: list[tuple] = []
+    todo = [cycle]
+    while todo:
+        cycle = todo.pop()
+        if len(cycle) == 3:
+            out.append(tuple(cycle))
             continue
-        if (ib - ia) % k in (1, k - 1):
-            continue
-        if ia > ib:
-            ia, ib = ib, ia
-        left = cycle[ia:ib + 1]
-        right = cycle[ib:] + cycle[:ia + 1]
-        return (_split_triangles(left, diag_set)
-                + _split_triangles(right, diag_set))
-    raise IncompleteTriangulationError(
-        f"no diagonal splits the sub-polygon {cycle}")
+        k = len(cycle)
+        pos = {v: i for i, v in enumerate(cycle)}
+        for a, b in diags:
+            ia, ib = pos.get(a), pos.get(b)
+            if ia is None or ib is None:
+                continue
+            if (ib - ia) % k in (1, k - 1):
+                continue
+            if ia > ib:
+                ia, ib = ib, ia
+            todo.append(cycle[ib:] + cycle[:ia + 1])
+            todo.append(cycle[ia:ib + 1])
+            break
+        else:
+            raise IncompleteTriangulationError(
+                f"no diagonal splits the sub-polygon {cycle}")
+    return out
 
 
 def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
@@ -240,23 +251,8 @@ def _pieces_from_cut(tp: TriangulatedPolygon, cut_pairs) -> tuple:
         if (ti, tj) not in removed:
             adj[ti].append(tj)
             adj[tj].append(ti)
-    seen: set[int] = set()
-    pieces = []
-    for s in range(tp.n_triangles):
-        if s in seen:
-            continue
-        stack = [s]
-        seen.add(s)
-        members = set()
-        while stack:
-            x = stack.pop()
-            members.add(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        pieces.append(frozenset(members))
-    return tuple(sorted(pieces, key=min))
+    pieces = components(range(tp.n_triangles), adj.__getitem__)
+    return tuple(sorted(map(frozenset, pieces), key=min))
 
 
 def _decomposition_from_cut(tp: TriangulatedPolygon,

@@ -4,6 +4,12 @@ The exact solver is a bottom-up dynamic program over the rooted tree.
 For each vertex it tabulates root components by their extreme boundary
 paths (the clockwise-first and clockwise-last paths leaving the
 subtree), together with the degree of the vertex inside the component.
+One join builds the root components in which the vertex has degree two
+to four, by merging those of child tables or of a joined pair and a
+child table. Every table entry points at the entries it was built
+from, in the one format DPTables describes, and a loop over an
+explicit stack follows those pointers to rebuild the components,
+however deep the tree.
 Two contact regimes are supported exactly: noncrossing and proper.
 A multicut reduction provides a fast 2-approximation for proper
 contacts, and edge splits are handled by running the same program on
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .analysis import conflicting_pairs, drawing_edges_conflict
@@ -21,6 +28,7 @@ from .drawing import (
     RootedTree,
     SubdividedDrawing,
     clockwise_order,
+    components,
     default_root,
     root_tree,
     subdivide,
@@ -157,18 +165,9 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
         if not edges:
             continue
         eset = set(edges)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for idx in d.adjacency[v]:
-                if idx in eset:
-                    w = d.other_endpoint(idx, v)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        if seen != verts:
+        if len(components(verts, lambda v: [
+                d.other_endpoint(idx, v) for idx in d.adjacency[v]
+                if idx in eset])) != 1:
             conn = False
             problems.append(f"component {ci} is disconnected")
         elif len(edges) != len(verts) - 1:
@@ -241,13 +240,24 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
 
 # -- the dynamic program --------------------------------------------------------
 
+# the entry of an empty run of children: no components
+_NOTHING = (0, (None, (), ()))
+
+
 @dataclass
 class DPTables:
     """Filled decomposition tables, kept around for reconstruction.
 
-    tau[u] maps an extreme-endpoint pair to (size, backpointer) for the
-    subtree hanging from u's parent edge; sigma tables are per vertex,
-    keyed first by the child-index span they cover.
+    tau[u] maps an extreme-endpoint pair to an entry for the subtree
+    hanging from u's parent edge; sigma_delta, sigma and sigma_m are per
+    vertex, keyed first by the child-index span they cover. tau_best[u]
+    is the (size, key) of u's smallest tau entry.
+
+    Every entry is (size, (own_edge, joined, apart)): own_edge (or
+    None) belongs to the entry's root component, the entries in joined
+    have their root components merged into it, and the entries in apart
+    contribute components of their own. An entry with neither own_edge
+    nor joined has no root component and only collects apart entries.
     """
     mode: str
     rt: RootedTree
@@ -261,165 +271,130 @@ class DPTables:
     sigma_m: dict[int, dict] = field(default_factory=dict)
 
 
+def _join(ic: dict, parts, apart: tuple, out: dict) -> None:
+    """Merge the root components of adjacent parts into one, into out.
+
+    parts are the sorted (key, entry) items of child tables in
+    clockwise order, and apart the entries of the children between
+    them. A candidate takes one entry of each part and survives when the
+    path from every endpoint of an earlier part to every endpoint of a
+    later part is increasing-chord. It is keyed by its outermost
+    endpoints and counts the merged root component once. Candidates
+    arrive in lexicographic order of their keys, so ties keep the first.
+    """
+    extra = 1 - len(parts)
+    for ent in apart:
+        extra += ent[0]
+    # each prefix that passed so far: its first x, its last key, the
+    # path-IC rows of the endpoints before that key, its size, its entries
+    partial = []
+    for key, ent in parts[0]:
+        partial.append((key[0], key, (), ent[0], (ent,)))
+    for part in parts[1:]:
+        grown = []
+        for first, (x1, y1), rows, val, refs in partial:
+            rows += (ic[x1],) if x1 == y1 else (ic[x1], ic[y1])
+            for key, ent in part:
+                x, y = key
+                for row in rows:
+                    if not (row[x] and row[y]):
+                        break
+                else:
+                    grown.append((first, key, rows, val + ent[0],
+                                  refs + (ent,)))
+        partial = grown
+    for first, (_, y), _, val, refs in partial:
+        val += extra
+        cur = out.get((first, y))
+        if cur is None or val < cur[0]:
+            out[(first, y)] = (val, (None, refs, apart))
+
+
 def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
     if mode not in ("proper", "noncrossing"):
         raise ValueError(
             f"exact decomposition supports proper and noncrossing, "
             f"not {mode!r}")
     pic = precompute_path_ic(rt)
-    q = pic.query
+    ic = pic._table     # rows read directly in the join's inner loop
     t = DPTables(mode=mode, rt=rt, pic=pic)
 
     for u in rt.postorder:
         if u == rt.root:
             continue
+        pe = rt.parent_edge[u]
         cs = rt.children[u]
         d = len(cs)
         if d == 0:
-            t.tau[u] = {(u, u): (1, ("leaf",))}
+            t.tau[u] = {(u, u): (1, (pe, (), ()))}
             t.tau_best[u] = (1, (u, u))
             continue
+        taus = [sorted(t.tau[c].items()) for c in cs]
+        paths = [[(k, e) for k, e in items if k[0] == k[1]] for items in taus]
+        # child pairs whose path entries fit in one component; a
+        # degree-four join needs every two of its arms to be such a pair,
+        # so the joins of other arms are skipped
+        fits = {(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)
+                if any(ic[x][y] for (x, _), _ in paths[i - 1]
+                       for (y, _), _ in paths[j - 1])}
         sd: dict[int, dict] = {1: {}, 2: {}, 3: {}, 4: {}}
+        sorted2: dict = {}
         sg: dict = {}
         bsig: dict = {}
-        sm: dict = {}
-
-        def sm_val(i: int, j: int) -> int:
-            return 0 if i > j else sm[(i, j)][0]
-
-        def upsert(table: dict, key, val: int, bp: tuple) -> None:
-            cur = table.get(key)
-            if cur is None or val < cur[0]:
-                table[key] = (val, bp)
+        # minimum partitions of runs of children; DPTables leaves out the
+        # empty runs
+        sm: dict = {(i, i - 1): _NOTHING for i in range(1, d + 2)}
 
         for w in range(d):
             for a in range(1, d - w + 1):
                 b = a + w
                 span = (a, b)
                 if w == 0:
-                    child = cs[a - 1]
-                    sd[1][span] = {
-                        key: (t.tau[child][key][0], ("s1", child))
-                        for key in t.tau[child]}
-                if w >= 1:
-                    ca, cb = cs[a - 1], cs[b - 1]
-                    ta, tb = t.tau[ca], t.tau[cb]
-                    mid = sm_val(a + 1, b - 1)
-                    ent2 = sd[2].setdefault(span, {})
-                    for ka in sorted(ta):
-                        x1, y1 = ka
-                        va = ta[ka][0]
-                        for kb in sorted(tb):
-                            x2, y2 = kb
-                            if not (q(x1, x2) and q(x1, y2)
-                                    and q(y1, x2) and q(y1, y2)):
-                                continue
-                            upsert(ent2, (x1, y2), va + mid + tb[kb][0] - 1,
-                                   ("s2", ca, ka, cb, kb, (a + 1, b - 1)))
+                    sd[1][span] = {key: (ent[0], (None, (ent,), ()))
+                                   for key, ent in taus[a - 1]}
+                else:
+                    ent2 = sd[2][span] = {}
+                    _join(ic, (taus[a - 1], taus[b - 1]),
+                          (sm[(a + 1, b - 1)],), ent2)
+                    sorted2[span] = sorted(ent2.items())
                 if w >= 2:
-                    ent3 = sd[3].setdefault(span, {})
+                    ent3 = sd[3][span] = {}
                     for mm in range(a + 1, b):
-                        # two-child part on the low side, path part at cs[b-1]
-                        two = sd[2].get((a, mm), {})
-                        tb = t.tau[cs[b - 1]]
-                        mid = sm_val(mm + 1, b - 1)
-                        for k2 in sorted(two):
-                            x1, y1 = k2
-                            v2 = two[k2][0]
-                            for kb in sorted(tb):
-                                x2, y2 = kb
-                                if not (q(x1, x2) and q(x1, y2)
-                                        and q(y1, x2) and q(y1, y2)):
-                                    continue
-                                upsert(ent3, (x1, y2),
-                                       v2 + mid + tb[kb][0] - 1,
-                                       ("s3", (a, mm), k2, cs[b - 1], kb,
-                                        (mm + 1, b - 1)))
-                        # mirrored: path part at cs[a-1], two-child part high
-                        ta = t.tau[cs[a - 1]]
-                        two = sd[2].get((mm, b), {})
-                        mid = sm_val(a + 1, mm - 1)
-                        for ka in sorted(ta):
-                            x1, y1 = ka
-                            va = ta[ka][0]
-                            for k2 in sorted(two):
-                                x2, y2 = k2
-                                if not (q(x1, x2) and q(x1, y2)
-                                        and q(y1, x2) and q(y1, y2)):
-                                    continue
-                                upsert(ent3, (x1, y2),
-                                       va + mid + two[k2][0] - 1,
-                                       ("s3", (mm, b), k2, cs[a - 1], ka,
-                                        (a + 1, mm - 1)))
+                        # two-child part low and path part at b, then mirrored
+                        _join(ic, (sorted2[(a, mm)], taus[b - 1]),
+                              (sm[(mm + 1, b - 1)],), ent3)
+                        _join(ic, (taus[a - 1], sorted2[(mm, b)]),
+                              (sm[(a + 1, mm - 1)],), ent3)
                 if w >= 3:
-                    ent4 = sd[4].setdefault(span, {})
-                    paths_of = {
-                        c: [k for k in sorted(t.tau[c]) if k[0] == k[1]]
-                        for c in (cs[a - 1], cs[b - 1])}
+                    ent4 = sd[4][span] = {}
                     for jj in range(a + 1, b - 1):
-                        paths_of.setdefault(
-                            cs[jj - 1],
-                            [k for k in sorted(t.tau[cs[jj - 1]])
-                             if k[0] == k[1]])
+                        if (a, b) not in fits or (a, jj) not in fits:
+                            continue
+                        low = (paths[a - 1], paths[jj - 1])
+                        below = sm[(a + 1, jj - 1)]
                         for kk in range(jj + 1, b):
-                            paths_of.setdefault(
-                                cs[kk - 1],
-                                [k for k in sorted(t.tau[cs[kk - 1]])
-                                 if k[0] == k[1]])
-                            mids = (sm_val(a + 1, jj - 1)
-                                    + sm_val(jj + 1, kk - 1)
-                                    + sm_val(kk + 1, b - 1))
-                            arms_children = (cs[a - 1], cs[jj - 1],
-                                             cs[kk - 1], cs[b - 1])
-                            for k1 in paths_of[arms_children[0]]:
-                                t1 = k1[0]
-                                for k2 in paths_of[arms_children[1]]:
-                                    t2 = k2[0]
-                                    if not q(t1, t2):
-                                        continue
-                                    for k3 in paths_of[arms_children[2]]:
-                                        t3 = k3[0]
-                                        if not (q(t1, t3) and q(t2, t3)):
-                                            continue
-                                        for k4 in paths_of[arms_children[3]]:
-                                            t4 = k4[0]
-                                            if not (q(t1, t4) and q(t2, t4)
-                                                    and q(t3, t4)):
-                                                continue
-                                            val = (t.tau[arms_children[0]][k1][0]
-                                                   + t.tau[arms_children[1]][k2][0]
-                                                   + t.tau[arms_children[2]][k3][0]
-                                                   + t.tau[arms_children[3]][k4][0]
-                                                   + mids - 3)
-                                            upsert(
-                                                ent4, (t1, t4), val,
-                                                ("s4",
-                                                 tuple(zip(arms_children,
-                                                           (k1, k2, k3, k4))),
-                                                 ((a + 1, jj - 1),
-                                                  (jj + 1, kk - 1),
-                                                  (kk + 1, b - 1))))
+                            if (jj, kk) not in fits:
+                                continue
+                            _join(ic, low + (paths[kk - 1], paths[b - 1]),
+                                  (below, sm[(jj + 1, kk - 1)],
+                                   sm[(kk + 1, b - 1)]), ent4)
                 merged: dict = {}
                 for dl in (1, 2, 3, 4):
-                    for key in sorted(sd[dl].get(span, {})):
-                        val = sd[dl][span][key][0]
+                    for key, ent in sorted(sd[dl].get(span, {}).items()):
                         cur = merged.get(key)
-                        if cur is None or val < cur[0]:
-                            merged[key] = (val, dl)
+                        if cur is None or ent[0] < cur[0]:
+                            merged[key] = ent
                 sg[span] = merged
-                bk = None
-                for key in sorted(merged):
-                    if bk is None or merged[key][0] < bk[0]:
-                        bk = (merged[key][0], key)
-                if bk is not None:
-                    bsig[span] = bk
+                if merged:
+                    bsig[span] = min((merged[k] for k in sorted(merged)),
+                                     key=itemgetter(0))
 
             for a in range(1, d - w + 1):
                 b = a + w
                 if mode == "proper":
-                    val = sum(t.tau_best[cs[mm - 1]][0]
-                              for mm in range(a, b + 1))
-                    sm[(a, b)] = (val, ("sm_taus",))
+                    refs = tuple(t.tau[c][t.tau_best[c][1]]
+                                 for c in cs[a - 1:b])
+                    best = (sum(ent[0] for ent in refs), (None, (), refs))
                 else:
                     best = None
                     for pp in range(a, b + 1):
@@ -427,136 +402,63 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                             bs = bsig.get((pp, qq))
                             if bs is None:
                                 continue
-                            val = sm_val(a, pp - 1) + bs[0] + sm_val(qq + 1, b)
+                            left, right = sm[(a, pp - 1)], sm[(qq + 1, b)]
+                            val = left[0] + bs[0] + right[0]
                             if best is None or val < best[0]:
-                                best = (val, ("sm", (a, pp - 1), (pp, qq),
-                                              bs[1], (qq + 1, b)))
+                                best = (val, (None, (), (left, bs, right)))
                     if best is None:
-                        raise GRRError(f"no partition for span {(a, b)} at {u}")
-                    sm[(a, b)] = best
+                        raise GRRError(
+                            f"no partition for span {(a, b)} at {u}")
+                sm[(a, b)] = best
 
-        pu = rt.parent[u]
+        # the parent edge joins a sigma component, or stands alone
+        row = ic[rt.parent[u]]
         tu: dict = {}
+        alone = None
         for span in sorted(sg):
             a, b = span
-            for key in sorted(sg[span]):
+            left, right = sm[(1, a - 1)], sm[(b + 1, d)]
+            for key, ent in sorted(sg[span].items()):
+                val = left[0] + ent[0] + right[0]
                 x, y = key
-                if not (q(pu, x) and q(pu, y)):
-                    continue
-                upsert(tu, key,
-                       sm_val(1, a - 1) + sg[span][key][0] + sm_val(b + 1, d),
-                       ("tau_frame", span, key))
+                cur = tu.get(key)
+                if row[x] and row[y] and (cur is None or val < cur[0]):
+                    tu[key] = (val, (pe, (ent,), (left, right)))
+                if alone is None or val < alone[0]:
+                    alone = (val, (left, ent, right))
         if mode == "proper":
-            best = None
-            for span in sorted(sg):
-                a, b = span
-                for key in sorted(sg[span]):
-                    val = (1 + sm_val(1, a - 1) + sg[span][key][0]
-                           + sm_val(b + 1, d))
-                    if best is None or val < best[0]:
-                        best = (val, ("tau_edge_proper", span, key))
-            if best is None:
+            if alone is None:
                 raise GRRError(f"no proper partition below vertex {u}")
-            tu[(u, u)] = best
+            tu[(u, u)] = (1 + alone[0], (pe, (), alone[1]))
         else:
-            tu[(u, u)] = (1 + sm_val(1, d), ("tau_edge",))
+            tu[(u, u)] = (1 + sm[(1, d)][0], (pe, (), (sm[(1, d)],)))
         t.tau[u] = tu
-        bk = None
-        for key in sorted(tu):
-            if bk is None or tu[key][0] < bk[0]:
-                bk = (tu[key][0], key)
-        t.tau_best[u] = bk
+        key = min(sorted(tu), key=lambda k: tu[k][0])
+        t.tau_best[u] = (tu[key][0], key)
         t.sigma_delta[u] = sd
         t.sigma[u] = sg
-        t.sigma_m[u] = sm
+        t.sigma_m[u] = {span: ent for span, ent in sm.items()
+                        if span[0] <= span[1]}
     return t
 
 
 # -- reconstruction -------------------------------------------------------------
 
-def _rec_tau(t: DPTables, u: int,
-             key: tuple[int, int]) -> tuple[list[set[int]], int]:
-    rt = t.rt
-    size, bp = t.tau[u][key]
-    kind = bp[0]
-    if kind == "leaf":
-        return [{rt.parent_edge[u]}], 0
-    d = len(rt.children[u])
-    if kind == "tau_edge":
-        return [{rt.parent_edge[u]}] + _rec_sm(t, u, (1, d)), 0
-    if kind == "tau_edge_proper":
-        _, span, skey = bp
-        a, b = span
-        comps, _ = _rec_sigma(t, u, span, skey)
-        out = ([{rt.parent_edge[u]}] + _rec_sm(t, u, (1, a - 1))
-               + comps + _rec_sm(t, u, (b + 1, d)))
-        return out, 0
-    if kind == "tau_frame":
-        _, span, skey = bp
-        a, b = span
-        comps, root = _rec_sigma(t, u, span, skey)
-        comps[root] = comps[root] | {rt.parent_edge[u]}
-        left = _rec_sm(t, u, (1, a - 1))
-        return left + comps + _rec_sm(t, u, (b + 1, d)), len(left) + root
-    raise GRRError(f"unknown backpointer {bp!r}")
-
-
-def _rec_sigma(t: DPTables, u: int, span, key) -> tuple[list[set[int]], int]:
-    _, delta = t.sigma[u][span][key]
-    return _rec_sigma_delta(t, u, delta, span, key)
-
-
-def _rec_sigma_delta(t: DPTables, u: int, delta: int, span,
-                     key) -> tuple[list[set[int]], int]:
-    size, bp = t.sigma_delta[u][delta][span][key]
-    kind = bp[0]
-    if kind == "s1":
-        return _rec_tau(t, bp[1], key)
-    if kind == "s2":
-        _, ca, ka, cb, kb, mspan = bp
-        pa, ra = _rec_tau(t, ca, ka)
-        pb, rb = _rec_tau(t, cb, kb)
-        merged = pa[ra] | pb[rb]
-        rest = ([c for i, c in enumerate(pa) if i != ra]
-                + [c for i, c in enumerate(pb) if i != rb])
-        return [merged] + rest + _rec_sm(t, u, mspan), 0
-    if kind == "s3":
-        _, span2, key2, cvid, ck, mspan = bp
-        pa, ra = _rec_sigma_delta(t, u, 2, span2, key2)
-        pb, rb = _rec_tau(t, cvid, ck)
-        merged = pa[ra] | pb[rb]
-        rest = ([c for i, c in enumerate(pa) if i != ra]
-                + [c for i, c in enumerate(pb) if i != rb])
-        return [merged] + rest + _rec_sm(t, u, mspan), 0
-    if kind == "s4":
-        _, arms, mspans = bp
-        merged: set[int] = set()
-        rest: list[set[int]] = []
-        for cvid, ck in arms:
-            pc, rc = _rec_tau(t, cvid, ck)
-            merged |= pc[rc]
-            rest += [c for i, c in enumerate(pc) if i != rc]
-        for ms in mspans:
-            rest += _rec_sm(t, u, ms)
-        return [merged] + rest, 0
-    raise GRRError(f"unknown backpointer {bp!r}")
-
-
-def _rec_sm(t: DPTables, u: int, span) -> list[set[int]]:
-    i, j = span
-    if i > j:
-        return []
-    size, bp = t.sigma_m[u][span]
-    if bp[0] == "sm_taus":
-        out: list[set[int]] = []
-        for mm in range(i, j + 1):
-            child = t.rt.children[u][mm - 1]
-            comps, _ = _rec_tau(t, child, t.tau_best[child][1])
-            out += comps
-        return out
-    _, lspan, sspan, skey, rspan = bp
-    comps, _ = _rec_sigma(t, u, sspan, skey)
-    return _rec_sm(t, u, lspan) + comps + _rec_sm(t, u, rspan)
+def _components_of(entry: tuple) -> list[set[int]]:
+    """The edge components an entry stands for, by an explicit stack of
+    (entry, component it joins or None), so tree depth is unbounded."""
+    comps: list[set[int]] = []
+    stack = [(entry, None)]
+    while stack:
+        (_, (edge, joined, apart)), comp = stack.pop()
+        if comp is None and (edge is not None or joined):
+            comp = set()
+            comps.append(comp)
+        if edge is not None:
+            comp.add(edge)
+        stack.extend((ref, comp) for ref in joined)
+        stack.extend((ref, None) for ref in apart)
+    return comps
 
 
 # -- public solvers -------------------------------------------------------------
@@ -570,7 +472,7 @@ def min_gtd_exact(rt: RootedTree, mode: str) -> Partition:
     tables = fill_gtd_tables(rt, mode)
     v0 = rt.children[rt.root][0]
     size, key = tables.tau_best[v0]
-    comps, _ = _rec_tau(tables, v0, key)
+    comps = _components_of(tables.tau[v0][key])
     if len(comps) != size:
         raise GRRError(
             f"reconstruction produced {len(comps)} components, "
@@ -620,22 +522,9 @@ def multicut_to_partition(d: Drawing, inst: MulticutInstance,
             continue
         adj[x].append(y)
         adj[y].append(x)
-    seen: set = set()
     comps: list[frozenset[int]] = []
-    for start in inst.nodes:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        members = []
-        while stack:
-            x = stack.pop()
-            members.append(x)
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        eids = sorted(idx for kind, idx in members if kind == "e")
+    for members in components(inst.nodes, adj.__getitem__):
+        eids = [idx for kind, idx in members if kind == "e"]
         if eids:
             comps.append(frozenset(eids))
     return Partition(components=tuple(sorted(comps, key=min)),

@@ -6,6 +6,7 @@ import pytest
 
 from grrdecomp.drawing import (
     clockwise_order,
+    components,
     default_root,
     root_tree,
     subdivide,
@@ -96,6 +97,20 @@ def test_root_tree_guards():
                               [(0, 1), (2, 3)])
     with pytest.raises(NotATreeError):
         root_tree(forest, 0)
+
+
+def test_root_tree_rejects_a_cycle_beside_an_isolated_vertex():
+    # the edge count fits a tree, so only the connectivity walk catches it
+    d = validate_drawing(_v((0, 0), (2, 0), (0, 2), (5, 5)),
+                         [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(NotATreeError, match="not connected"):
+        root_tree(d, 3)
+
+
+def test_components_come_in_order_of_first_node():
+    adj = {0: [2], 1: [], 2: [0, 3], 3: [2], 4: [5], 5: [4]}
+    assert components([3, 1, 0, 2, 5, 4], adj.__getitem__) == [
+        {0, 2, 3}, {1}, {4, 5}]
 
 
 def test_default_root_is_smallest_leaf():

@@ -26,6 +26,7 @@ from grrdecomp.fixtures import (
 )
 from grrdecomp.geometry import Point, Polygon, point_in_polygon, pt
 from grrdecomp.polydecomp import (
+    _split_triangles,
     build_dual_tree,
     conflicting_triangle_pairs,
     decompose_polygon_approx,
@@ -96,6 +97,14 @@ def test_triangle_polygon_has_no_diagonals():
     assert tp.dual_edges == ()
     assert decompose_polygon_exact_small(tp).size == 1
     assert decompose_polygon_approx(tp).size == 1
+
+
+def test_split_triangles_of_a_thousand_vertex_fan():
+    # splitting a fan nests one sub-polygon inside the next, 997 deep
+    fan = frozenset((0, k) for k in range(2, 999))
+    tris = _split_triangles(list(range(1000)), fan)
+    assert tris == ([(0, 1, 2), (998, 999, 0)]
+                    + [(0, k, k + 1) for k in range(997, 1, -1)])
 
 
 # -- conflicting triangles ------------------------------------------------------------

@@ -172,14 +172,57 @@ def test_fixture_optima_are_stable():
         assert min_gtd_exact(rooted(d), "noncrossing").size == want_nc, name
 
 
-def test_star4_component_shapes():
-    p = min_gtd_exact(rooted(star4_cross()), "proper")
-    assert tuple(tuple(sorted(c)) for c in p.components) == ((0,), (1, 3), (2,))
+# the exact components pin the DP's tie-breaking among equal-size optima
+COMPONENT_SHAPES = {
+    ("p_ic", "proper"): ((0, 1),),
+    ("p_ic", "noncrossing"): ((0, 1),),
+    ("p_acute", "proper"): ((0,), (1,)),
+    ("p_acute", "noncrossing"): ((0,), (1,)),
+    ("star3", "proper"): ((0, 1, 2),),
+    ("star3", "noncrossing"): ((0, 1, 2),),
+    ("plus", "proper"): ((0, 1, 2, 3),),
+    ("plus", "noncrossing"): ((0, 1, 2, 3),),
+    ("star4_cross", "proper"): ((0,), (1, 3), (2,)),
+    ("star4_cross", "noncrossing"): ((0, 3), (1, 2)),
+    ("comb", "proper"): ((0,), (1, 2), (3, 4)),
+    ("comb", "noncrossing"): ((0,), (1, 2), (3, 4)),
+}
 
 
-def test_comb_component_shapes():
-    p = min_gtd_exact(rooted(comb_drawing()), "proper")
-    assert tuple(tuple(sorted(c)) for c in p.components) == ((0,), (1, 2), (3, 4))
+@pytest.mark.parametrize("name, mode", list(COMPONENT_SHAPES))
+def test_component_shapes(name, mode):
+    p = min_gtd_exact(rooted(tree_fixture_drawings()[name]), mode)
+    assert (tuple(tuple(sorted(c)) for c in p.components)
+            == COMPONENT_SHAPES[(name, mode)])
+
+
+@pytest.mark.parametrize("mode", ["proper", "noncrossing"])
+def test_four_arms_join_into_one_component(mode):
+    # the four legs at right angles form one component only through a
+    # join of four arms; the diagonal leg toward the root stays apart
+    d = validate_drawing(
+        [(0, pt(0, 0)), (1, pt(2, 2)), (2, pt(3, 0)), (3, pt(0, -3)),
+         (4, pt(-3, 0)), (5, pt(0, 3))],
+        [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
+    p = min_gtd_exact(rooted(d), mode)
+    assert tuple(tuple(sorted(c)) for c in p.components) == (
+        (0,), (1, 2, 3, 4))
+
+
+@pytest.fixture(scope="module")
+def sawtooth_400():
+    """A 400-edge path whose every two-edge subpath conflicts."""
+    d = validate_drawing(
+        [(i, pt(i, 0 if i % 2 == 0 else 10)) for i in range(401)],
+        [(i, i + 1) for i in range(400)])
+    return rooted(d)
+
+
+@pytest.mark.parametrize("mode", ["proper", "noncrossing"])
+def test_deep_path_reconstructs_without_recursion(sawtooth_400, mode):
+    p = min_gtd_exact(sawtooth_400, mode)
+    assert p.size == 400
+    assert validate_partition(sawtooth_400.drawing, p).ok
 
 
 def test_exact_agrees_with_oracle_on_corpus(tree_corpus):
