@@ -106,8 +106,15 @@ def segment_intersection(s1: Segment, s2: Segment):
     """Intersection of two closed segments.
 
     Returns None, a Point, or a Segment (for collinear overlap). The
-    overlap segment is oriented along s1.
+    overlap segment is oriented along s1. Segments whose closed bounding
+    boxes are disjoint return None before any arithmetic; boxes that
+    touch get the full test.
     """
+    a1, b1, a2, b2 = s1.a, s1.b, s2.a, s2.b
+    if (max(a1.x, b1.x) < min(a2.x, b2.x) or max(a2.x, b2.x) < min(a1.x, b1.x)
+            or max(a1.y, b1.y) < min(a2.y, b2.y)
+            or max(a2.y, b2.y) < min(a1.y, b1.y)):
+        return None
     d1, d2 = s1.direction(), s2.direction()
     if d1.x == 0 and d1.y == 0:
         if on_segment(s1.a, s2):
@@ -144,19 +151,25 @@ def segment_intersection(s1: Segment, s2: Segment):
 
 @dataclass(frozen=True, slots=True)
 class Halfplane:
-    """Points r with dot(r - q, q - p) >= 0: beyond q, looking from p."""
-    p: Point
-    q: Point
+    """Points r with dot(r, n) >= c.
+
+    hp(p, q) builds the halfplane beyond q, looking from p: n = q - p and
+    c = dot(q, n), so membership, dot(r - q, q - p) >= 0, costs one dot
+    product and one comparison.
+    """
+    n: Point
+    c: Fraction
 
 
 def hp(p: Point, q: Point) -> Halfplane:
     if p == q:
         raise ValueError("halfplane needs two distinct points")
-    return Halfplane(p, q)
+    n = q - p
+    return Halfplane(n, dot(q, n))
 
 
 def in_hp(h: Halfplane, r: Point) -> bool:
-    return dot(r - h.q, h.q - h.p) >= 0
+    return dot(r, h.n) >= h.c
 
 
 # -- feasibility intervals ----------------------------------------------------

@@ -55,45 +55,50 @@ class PathICTable:
 
 
 def precompute_path_ic(rt: RootedTree) -> PathICTable:
-    """Fill the all-pairs table by a DFS from every source.
+    """Fill the all-pairs table with O(1) work per ordered vertex pair.
 
-    Along the DFS path the self-approaching property in each direction
-    only ever turns off, so each extension needs one halfplane sweep.
+    A path is increasing-chord iff it is self-approaching both ways:
+    every vertex lies in hp(a, b) of each directed path edge a-b that
+    leads toward it. On the path s = v0 .. vk = t, k >= 2, with s+ = v1
+    and t- = v(k-1), every such condition that leaves out s or t is one
+    of the subpath s..t- or of the subpath s+..t, and only two take
+    both ends, so
+
+        IC(s, t) = IC(s, t-) and IC(s+, t)
+                   and t in hp(s, s+) and s in hp(t, t-).
+
+    Adjacent pairs and IC(v, v) are True. Row s is filled by one walk
+    away from s per neighbour s+, which reaches t right after t-, so
+    IC(s, t-) is already known. Sources in postorder first walk down
+    into each child's subtree: row s+ was filled there by the child's
+    own downward walks. Then sources in reversed postorder walk out
+    through their parent, whose row is by then full. The walks hold
+    O(n) frames, and the 2(n-1) directed-edge halfplanes are built once.
     """
     d = rt.drawing
-    table: dict[int, dict[int, bool]] = {}
-    for s in d.vertex_ids:
-        row: dict[int, bool] = {}
-        path: list = []
-        stack: list[tuple] = [("enter", s, -1, True, True)]
+    pts = d.points
+    nbrs = {v: [d.other_endpoint(e, v) for e in d.adjacency[v]]
+            for v in d.vertex_ids}
+    halfplanes = {(a, b): hp(pts[a], pts[b]) for a in nbrs for b in nbrs[a]}
+    table: dict[int, dict[int, bool]] = {v: {v: True} for v in d.vertex_ids}
+
+    def walk(s: int, first: int) -> None:
+        row, ahead = table[s], table[first]
+        ps, h_first = pts[s], halfplanes[(s, first)]
+        row[first] = True
+        stack = [(w, first) for w in nbrs[first] if w != s]
         while stack:
-            frame = stack.pop()
-            if frame[0] == "exit":
-                path.pop()
-                continue
-            _, v, parent, fwd, bwd = frame
-            pv = d.points[v]
-            k = len(path)
-            if k > 0:
-                if fwd:
-                    for i in range(1, k):
-                        if not in_hp(hp(path[i - 1], path[i]), pv):
-                            fwd = False
-                            break
-                if bwd:
-                    h = hp(pv, path[-1])
-                    for i in range(k - 1):
-                        if not in_hp(h, path[i]):
-                            bwd = False
-                            break
-            row[v] = fwd and bwd
-            path.append(pv)
-            stack.append(("exit",))
-            for eidx in d.adjacency[v]:
-                w = d.other_endpoint(eidx, v)
-                if w != parent:
-                    stack.append(("enter", w, v, fwd, bwd))
-        table[s] = row
+            t, prev = stack.pop()
+            row[t] = (row[prev] and ahead[t] and in_hp(h_first, pts[t])
+                      and in_hp(halfplanes[(t, prev)], ps))
+            stack.extend((w, t) for w in nbrs[t] if w != prev)
+
+    for s in rt.postorder:
+        for c in rt.children[s]:
+            walk(s, c)
+    for s in reversed(rt.postorder):
+        if rt.parent[s] is not None:
+            walk(s, rt.parent[s])
     return PathICTable(table)
 
 

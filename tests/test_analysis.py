@@ -12,6 +12,7 @@ from conftest import (
     witness_defects,
 )
 from grrdecomp.analysis import (
+    _slab_witness,
     clockwise_between,
     conflicting_pairs,
     drawing_edges_conflict,
@@ -42,7 +43,7 @@ from grrdecomp.fixtures import (
     ushape_polygon,
     ushape_tp,
 )
-from grrdecomp.geometry import Polygon, dot, pt, sq_dist
+from grrdecomp.geometry import Polygon, Segment, dot, pt, sq_dist
 from grrdecomp.oracle import chord_property_oracle, random_tree_drawing
 from grrdecomp.polydecomp import build_dual_tree
 from grrdecomp.analysis import triangles_conflict
@@ -88,6 +89,45 @@ def test_normal_through_endpoint_is_not_a_conflict():
         [(0, 1), (1, 2)])
     assert drawing_edges_conflict(d, 0, 1) is None
     assert drawing_edges_conflict(d, 1, 0) is None
+
+
+def test_slab_boundary_contact_is_not_a_conflict():
+    # f reaches the slab of e = (0,0)-(4,0) only on its boundary lines
+    ea, eb = pt(0, 0), pt(4, 0)
+    for fa, fb in (((4, 1), (7, 3)),      # one endpoint on x = 4
+                   ((-3, 2), (0, 5)),     # one endpoint on x = 0
+                   ((4, 1), (4, 5)),      # along x = 4
+                   ((5, -1), (9, 2))):    # wholly beyond x = 4
+        assert _slab_witness(ea, eb, Segment(pt(*fa), pt(*fb)), None) is None
+
+
+def test_slab_crossing_witnesses():
+    # (segment f, foot, hit) as the interval clip computes them
+    ea, eb = pt(0, 0), pt(4, 0)
+    cases = [(((-2, 3), (6, 1)), (2, 0), (2, 2)),
+             (((2, 1), (9, 4)), (3, 0), (3, "10/7")),
+             (((-1, -2), (1, "-1/2")), ("1/2", 0), ("1/2", "-7/8"))]
+    for (fa, fb), foot, hit in cases:
+        got = _slab_witness(ea, eb, Segment(pt(*fa), pt(*fb)), None)
+        assert got == (pt(*foot), pt(*hit))
+    got = _slab_witness(pt(1, 1), pt(3, 4), Segment(pt(-2, 5), pt(6, 1)), None)
+    assert got == (pt("29/13", "37/13"), pt(2, 3))
+
+
+def test_polygon_conflict_needs_the_outward_side():
+    # rect edge 0 runs along y = 0 with outward normal down: edge 2 lies
+    # across its slab but inward, edge 1 only on the slab's boundary
+    rect = Polygon([pt(0, 0), pt(4, 0), pt(4, 1), pt(0, 1)])
+    assert [polygon_edges_conflict(rect, 0, j) for j in (1, 2, 3)] == \
+        [None, None, None]
+    assert polygon_is_grr(rect) is None
+    u = ushape_polygon()
+    assert polygon_edges_conflict(u, 1, 5) is None
+    assert polygon_edges_conflict(u, 7, 3) is None
+    w = polygon_edges_conflict(u, 3, 7)
+    assert (w.p, w.hit) == (pt(2, 2), pt(0, 2))
+    w = polygon_edges_conflict(u, 5, 3)
+    assert (w.p, w.hit) == (pt(1, 2), pt(2, 2))
 
 
 def test_conflicting_pairs_fixture_inventory():

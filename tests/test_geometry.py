@@ -91,11 +91,54 @@ def test_segment_intersection_collinear_cases():
     assert touch == pt(4, 0)
 
 
+def test_segment_intersection_boxes_touching_at_one_coordinate():
+    # shared endpoint: the boxes meet only where x = 2
+    s1 = Segment(pt(0, 0), pt(2, 1))
+    s2 = Segment(pt(2, 1), pt(5, -3))
+    assert segment_intersection(s1, s2) == pt(2, 1)
+    assert segment_intersection(s2, s1) == pt(2, 1)
+    # boxes touch along x = 2 but the segments miss each other
+    assert segment_intersection(s1, Segment(pt(2, 0), pt(4, -2))) is None
+
+
+def test_segment_intersection_collinear_end_to_end():
+    s1 = Segment(pt(0, 0), pt(2, 2))
+    s2 = Segment(pt(2, 2), pt(5, 5))
+    assert segment_intersection(s1, s2) == pt(2, 2)
+    assert segment_intersection(s2, s1) == pt(2, 2)
+    assert segment_intersection(s1, Segment(pt(3, 3), pt(5, 5))) is None
+
+
+def test_segment_intersection_axis_parallel():
+    # zero-width and zero-height boxes
+    vertical = Segment(pt(1, 0), pt(1, 4))
+    horizontal = Segment(pt(0, 2), pt(3, 2))
+    assert segment_intersection(vertical, horizontal) == pt(1, 2)
+    assert segment_intersection(vertical, Segment(pt(1, 4), pt(1, 6))) == \
+        pt(1, 4)
+    assert segment_intersection(vertical, Segment(pt(1, 1), pt(1, 3))) == \
+        Segment(pt(1, 1), pt(1, 3))
+    assert segment_intersection(vertical, Segment(pt(2, 0), pt(2, 4))) is None
+    assert segment_intersection(horizontal, Segment(pt(0, 3), pt(3, 3))) is None
+    assert segment_intersection(vertical, Segment(pt(1, 5), pt(1, 6))) is None
+
+
+def test_segment_intersection_disjoint_with_overlapping_boxes():
+    s1 = Segment(pt(0, 0), pt(4, 4))
+    assert segment_intersection(s1, Segment(pt(3, 0), pt(4, 2))) is None
+    assert segment_intersection(s1, Segment(pt(0, 1), pt(1, 4))) is None
+    assert segment_intersection(s1, Segment(pt(1, 0), pt(4, 3))) is None
+
+
 def test_halfplane_predicate():
     h = hp(pt(0, 0), pt(2, 0))
     assert in_hp(h, pt(2, 0))      # boundary counts
     assert in_hp(h, pt(10, -3))
     assert not in_hp(h, pt(1, 0))
+    assert (h.n, h.c) == (pt(2, 0), 4)
+    slanted = hp(pt(1, 1), pt("3/2", 3))      # beyond (3/2, 3), looking up
+    assert in_hp(slanted, pt(0, "27/8"))        # on the boundary line
+    assert not in_hp(slanted, pt(0, 3))
     with pytest.raises(ValueError):
         hp(pt(1, 1), pt(1, 1))
 

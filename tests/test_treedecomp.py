@@ -4,9 +4,16 @@ import random
 
 import pytest
 
+import grrdecomp.treedecomp as treedecomp
 from conftest import tree_fixture_drawings, tree_path_points
 from grrdecomp.analysis import path_increasing_chord
-from grrdecomp.drawing import default_root, root_tree, validate_drawing
+from grrdecomp.drawing import (
+    default_root,
+    root_tree,
+    subdivide,
+    validate_drawing,
+)
+from grrdecomp.errors import GRRError
 from grrdecomp.fixtures import (
     comb_drawing,
     p_acute,
@@ -41,30 +48,122 @@ def rooted(d):
 # -- all-pairs path table ----------------------------------------------------------
 
 
+def assert_table_matches_direct_predicate(d, label=""):
+    table = precompute_path_ic(rooted(d))
+    all_edges = range(d.n_edges)
+    for s in d.vertex_ids:
+        assert table.query(s, s), (label, s)
+        for t in d.vertex_ids:
+            if s < t:
+                want = path_increasing_chord(
+                    tree_path_points(d, all_edges, s, t))
+                assert table.query(s, t) == want, (label, s, t)
+                assert table.query(t, s) == want, (label, t, s)
+
+
+def path_drawing(points):
+    return validate_drawing(list(enumerate(pt(x, y) for x, y in points)),
+                            [(i, i + 1) for i in range(len(points) - 1)])
+
+
+def zigzag(rng, n_edges):
+    """x-monotone, every edge within 45 degrees of +x: all increasing-chord."""
+    pts = [(0, 0)]
+    for k in range(n_edges):
+        if k % 2 == 0:
+            dx = rng.randint(3, 9)
+            pts.append((pts[-1][0] + dx, rng.randint(1, dx)))
+        else:
+            pts.append((pts[-1][0] + rng.randint(max(3, pts[-1][1]), 9), 0))
+    return path_drawing(pts)
+
+
+def sawtooth(rng, n_edges):
+    """Steep teeth: every two-edge subpath conflicts."""
+    pts, x = [], 0
+    for k in range(n_edges + 1):
+        pts.append((x, 0 if k % 2 == 0 else rng.randint(8, 14)))
+        x += rng.randint(1, 2)
+    return path_drawing(pts)
+
+
+# twelve leg directions, about 30 degrees apart
+SUN_RAYS = ((10, 0), (9, 5), (5, 9), (0, 10), (-5, 9), (-9, 5),
+            (-10, 0), (-9, -5), (-5, -9), (0, -10), (5, -9), (9, -5))
+
+
+def sun(rng):
+    """A twelve-leg star around vertex 0; every other leg has a second
+    edge bent a few degrees off its ray."""
+    verts = [(0, pt(0, 0))]
+    edges = []
+    for k, (dx, dy) in enumerate(SUN_RAYS):
+        tip = (100 * dx + rng.randint(-20, 20), 100 * dy + rng.randint(-20, 20))
+        verts.append((len(verts), pt(*tip)))
+        edges.append((0, len(verts) - 1))
+        if k % 2:
+            bend = rng.randint(-6, 6)
+            end = (tip[0] + 50 * dx - bend * dy, tip[1] + 50 * dy + bend * dx)
+            verts.append((len(verts), pt(*end)))
+            edges.append((len(verts) - 2, len(verts) - 1))
+    return validate_drawing(verts, edges)
+
+
 def test_path_table_matches_direct_predicate_on_fixtures():
     for name, d in tree_fixture_drawings().items():
-        table = precompute_path_ic(rooted(d))
-        all_edges = range(d.n_edges)
-        for s in d.vertex_ids:
-            for t in d.vertex_ids:
-                if s == t:
-                    continue
-                want = path_increasing_chord(tree_path_points(d, all_edges, s, t))
-                assert table.query(s, t) == want, (name, s, t)
+        assert_table_matches_direct_predicate(d, name)
 
 
 def test_path_table_matches_direct_predicate_on_random_trees():
     rng = random.Random(771)
     for _ in range(40):
-        d = random_tree_drawing(rng, rng.randint(2, 8))
-        table = precompute_path_ic(rooted(d))
-        all_edges = range(d.n_edges)
-        for s in d.vertex_ids:
-            for t in d.vertex_ids:
-                if s != t:
-                    want = path_increasing_chord(
-                        tree_path_points(d, all_edges, s, t))
-                    assert table.query(s, t) == want
+        assert_table_matches_direct_predicate(
+            random_tree_drawing(rng, rng.randint(2, 8)))
+
+
+def test_path_table_matches_direct_predicate_on_long_paths():
+    rng = random.Random(3030)
+    for _ in range(2):
+        assert_table_matches_direct_predicate(zigzag(rng, 30), "zigzag")
+        assert_table_matches_direct_predicate(sawtooth(rng, 30), "sawtooth")
+
+
+def test_path_table_matches_direct_predicate_on_suns():
+    rng = random.Random(1212)
+    for _ in range(3):
+        assert_table_matches_direct_predicate(sun(rng), "sun")
+
+
+def test_path_table_matches_direct_predicate_on_subdivided_trees():
+    # subdivision puts many collinear points on each edge
+    rng = random.Random(4242)
+    done = 0
+    while done < 3:
+        try:
+            d = random_tree_drawing(rng, 8)
+        except GRRError:
+            continue
+        assert_table_matches_direct_predicate(subdivide(d).drawing, "split")
+        done += 1
+
+
+def test_path_table_makes_at_most_two_halfplane_tests_per_pair(monkeypatch):
+    # the recurrence tests two halfplanes per ordered pair; a walk that
+    # re-scans each path would make about 2 * n**3 / 3 tests here
+    calls = 0
+    real = treedecomp.in_hp
+
+    def counting(h, r):
+        nonlocal calls
+        calls += 1
+        return real(h, r)
+
+    d = zigzag(random.Random(200), 200)
+    n = d.n_vertices
+    monkeypatch.setattr(treedecomp, "in_hp", counting)
+    table = precompute_path_ic(rooted(d))
+    assert 0 < calls <= 2 * n * (n - 1)
+    assert table.query(0, n - 1) and table.query(n - 1, 0)
 
 
 # -- partition validation -----------------------------------------------------------
