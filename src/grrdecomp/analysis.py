@@ -60,9 +60,9 @@ def _slab_witness(ea: Point, eb: Point, seg: Segment,
 
     Intersects seg with the open slab of edge ea-eb (and, when outward is
     given, the open outward halfplane); returns (foot, hit) or None.
-    A segment whose two endpoints project to the same closed side of the
-    slab is rejected first: that is the whole slab test, and without
-    outward the whole answer.
+    A segment whose endpoints both project onto the same closed side of
+    the slab misses the open slab, so it is rejected before the interval
+    clip; without outward, every other segment gets a witness.
     """
     de = eb - ea
     dd = dot(de, de)
@@ -70,12 +70,12 @@ def _slab_witness(ea: Point, eb: Point, seg: Segment,
     s1 = dot(seg.b - ea, de)
     if (s0 <= 0 and s1 <= 0) or (s0 >= dd and s1 >= dd):
         return None
-    fdir = seg.direction()
     iv = ParamInterval()
     iv.cut(s1 - s0, s0, strict=True)
     iv.cut(s0 - s1, dd - s0, strict=True)
     if outward is not None:
-        iv.cut(dot(fdir, outward), dot(seg.a - ea, outward), strict=True)
+        iv.cut(dot(seg.direction(), outward), dot(seg.a - ea, outward),
+               strict=True)
     if not iv.feasible:
         return None
     hit = seg.at(iv.witness())
