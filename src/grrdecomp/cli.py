@@ -9,7 +9,7 @@ from typing import Optional
 from . import formats
 from .analysis import conflicting_pairs, polygon_is_grr, trace_greedy_path
 from .drawing import default_root, root_tree, subdivide
-from .errors import FormatError, GRRError, InputError
+from .errors import FormatError, GRRError
 from .geometry import Point, frac
 from .polydecomp import (
     build_dual_tree,
@@ -215,9 +215,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (FormatError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GRRError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

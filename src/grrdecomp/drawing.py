@@ -16,7 +16,7 @@ from .errors import (
     UnknownVertexError,
     ZeroLengthEdgeError,
 )
-from .geometry import Point, Segment, cross, dot, segment_intersection
+from .geometry import Point, Segment, cross, dot, improper_contact
 
 
 class Drawing:
@@ -101,19 +101,12 @@ def validate_drawing(vertices: Iterable[tuple[int, Point]],
             raise DuplicateEdgeError(f"edge {u}-{v} repeated")
         seen_edges.add(key)
     d = Drawing(vlist, elist)
-    for i in range(d.n_edges):
-        si = d.segment(i)
-        ei = set(d.edges[i])
-        for j in range(i + 1, d.n_edges):
-            inter = segment_intersection(si, d.segment(j))
-            if inter is None:
-                continue
-            if isinstance(inter, Segment):
-                raise OverlappingEdgesError(f"edges {i} and {j} overlap")
-            shared = ei & set(d.edges[j])
-            if not (shared and inter == d.points[next(iter(shared))]):
-                raise CrossingEdgesError(
-                    f"edges {i} and {j} cross at {inter}")
+    bad = improper_contact([d.segment(i) for i in range(d.n_edges)])
+    if bad is not None:
+        i, j, meet = bad
+        if isinstance(meet, Segment):
+            raise OverlappingEdgesError(f"edges {i} and {j} overlap")
+        raise CrossingEdgesError(f"edges {i} and {j} cross at {meet}")
     return d
 
 
@@ -170,7 +163,6 @@ class RootedTree:
     children: Mapping[int, tuple[int, ...]]
     postorder: tuple[int, ...]
     parent_edge: Mapping[int, int]
-    subtree: Mapping[int, frozenset[int]]
 
 
 def components(nodes: Iterable, neighbours) -> list[set]:
@@ -214,7 +206,6 @@ def root_tree(d: Drawing, root: int) -> RootedTree:
     parent: dict[int, Optional[int]] = {root: None}
     parent_edge: dict[int, int] = {}
     children: dict[int, tuple[int, ...]] = {}
-    order: list[int] = []
     stack = [root]
     visit: list[int] = []
     while stack:
@@ -234,16 +225,9 @@ def root_tree(d: Drawing, root: int) -> RootedTree:
             parent_edge[w] = idx
             stack.append(w)
         children[v] = tuple(kids)
-    subtree: dict[int, frozenset[int]] = {}
-    for v in reversed(visit):
-        acc = {v}
-        for w in children[v]:
-            acc |= subtree[w]
-        subtree[v] = frozenset(acc)
-        order.append(v)
     return RootedTree(drawing=d, root=root, parent=parent, children=children,
-                      postorder=tuple(order), parent_edge=parent_edge,
-                      subtree=subtree)
+                      postorder=tuple(reversed(visit)),
+                      parent_edge=parent_edge)
 
 
 def default_root(d: Drawing) -> int:

@@ -147,6 +147,51 @@ def segment_intersection(s1: Segment, s2: Segment):
     return Segment(s1.at(lo), s1.at(hi))
 
 
+def improper_contact(segs: Sequence[Segment]):
+    """First pair of segments that meets other than in one common endpoint.
+
+    Returns None, or (i, j, meet) for the smallest index pair i < j at
+    fault, where meet is segment_intersection(segs[i], segs[j]): the
+    crossing Point or the overlap Segment. Every segment must have two
+    distinct endpoints. A sweep over the left ends visits only pairs
+    whose closed x-ranges overlap; pairs without a common endpoint reach
+    segment_intersection only if their closed y-ranges overlap too.
+    Segments with one common endpoint p and other endpoints u, v overlap
+    iff cross(u - p, v - p) == 0 and dot(u - p, v - p) > 0; two common
+    endpoints make the same segment.
+    """
+    n = len(segs)
+    lo = [min(s.a.x, s.b.x) for s in segs]
+    hi = [max(s.a.x, s.b.x) for s in segs]
+    ylo = [min(s.a.y, s.b.y) for s in segs]
+    yhi = [max(s.a.y, s.b.y) for s in segs]
+    order = sorted(range(n), key=lo.__getitem__)
+    best = None
+    for k in range(n):
+        i = order[k]
+        a, b = segs[i].a, segs[i].b
+        for m in range(k + 1, n):
+            j = order[m]
+            if lo[j] > hi[i]:
+                break
+            c, d = segs[j].a, segs[j].b
+            p = a if a in (c, d) else b if b in (c, d) else None
+            if p is None:
+                if (ylo[j] > yhi[i] or ylo[i] > yhi[j]
+                        or segment_intersection(segs[i], segs[j]) is None):
+                    continue
+            else:
+                u, v = (b if p is a else a) - p, (d if p == c else c) - p
+                if u != v and (cross(u, v) != 0 or dot(u, v) <= 0):
+                    continue
+            pair = (min(i, j), max(i, j))
+            best = min(best, pair) if best else pair
+    if best is None:
+        return None
+    i, j = best
+    return i, j, segment_intersection(segs[i], segs[j])
+
+
 # -- halfplanes ---------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -344,27 +389,18 @@ class Polygon:
             raise NotSimplePolygonError("polygon needs at least 3 vertices")
         if len(set(pts)) != len(pts):
             raise NotSimplePolygonError("polygon repeats a vertex")
-        n = len(pts)
-        edges = [Segment(pts[i], pts[(i + 1) % n]) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                inter = segment_intersection(edges[i], edges[j])
-                if inter is None:
-                    continue
-                if isinstance(inter, Segment):
-                    raise NotSimplePolygonError(
-                        f"boundary edges {i} and {j} overlap")
-                adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                shared = {edges[i].a, edges[i].b} & {edges[j].a, edges[j].b}
-                if not (adjacent and inter in shared):
-                    raise NotSimplePolygonError(
-                        f"boundary edges {i} and {j} intersect at {inter}")
+        self.points = pts
+        self.n = n = len(pts)
+        bad = improper_contact(self.edges())
+        if bad is not None:
+            i, j, meet = bad
+            how = ("overlap" if isinstance(meet, Segment)
+                   else f"intersect at {meet}")
+            raise NotSimplePolygonError(f"boundary edges {i} and {j} {how}")
         area2 = sum(cross(pts[i], pts[(i + 1) % n]) for i in range(n))
         if area2 <= 0:
             raise NotCounterclockwiseError(
                 "polygon boundary must be counterclockwise")
-        self.points = pts
-        self.n = n
 
     def edge(self, i: int) -> Segment:
         return Segment(self.points[i], self.points[(i + 1) % self.n])

@@ -30,7 +30,7 @@ from .geometry import (
     Polygon,
     Segment,
     frac,
-    on_segment,
+    improper_contact,
     orientation,
     point_in_polygon,
     segment_intersection,
@@ -256,6 +256,7 @@ def random_tree_drawing(rng: random.Random, n_edges: int,
     for _ in range(200):
         pts = [grid_point()]
         parents: list[int] = []
+        segs: list[Segment] = []
         ok = True
         for v in range(1, n_edges + 1):
             placed = False
@@ -264,24 +265,13 @@ def random_tree_drawing(rng: random.Random, n_edges: int,
                 q = grid_point()
                 if q in pts:
                     continue
+                # every placed point is an endpoint of a placed edge, so
+                # a point lying on the new edge is an improper contact
                 seg = Segment(pts[par], q)
-                good = True
-                for k, p in enumerate(pts):
-                    if k != par and on_segment(p, seg):
-                        good = False
-                        break
-                if good:
-                    for child in range(1, v):
-                        other = Segment(pts[parents[child - 1]], pts[child])
-                        inter = segment_intersection(seg, other)
-                        if inter is None:
-                            continue
-                        if isinstance(inter, Segment) or inter != pts[par]:
-                            good = False
-                            break
-                if good:
+                if improper_contact(segs + [seg]) is None:
                     pts.append(q)
                     parents.append(par)
+                    segs.append(seg)
                     placed = True
                     break
             if not placed:

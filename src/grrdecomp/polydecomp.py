@@ -9,7 +9,6 @@ diagonals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .analysis import polygon_is_grr, triangles_conflict
 from .drawing import components
@@ -25,9 +24,9 @@ from .geometry import (
     Point,
     Polygon,
     Segment,
+    improper_contact,
     orientation,
     point_in_polygon,
-    segment_intersection,
 )
 from .multicut import Cut, MulticutInstance, approx_gvy, solve_exact_small
 
@@ -127,27 +126,19 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
             f"{len(canon)} diagonals given, a triangulation of a "
             f"{n}-gon needs {n - 3}")
     pts = polygon.points
-    segs = {d: Segment(pts[d[0]], pts[d[1]]) for d in canon}
-    for d in canon:
-        s = segs[d]
-        for i in range(n):
-            e = polygon.edge(i)
-            inter = segment_intersection(s, e)
-            if inter is None:
-                continue
-            if isinstance(inter, Segment) or inter not in (s.a, s.b):
-                raise CrossingDiagonalsError(
-                    f"diagonal {d} meets boundary edge {i}")
+    segs = [Segment(pts[a], pts[b]) for a, b in canon]
+    bad = improper_contact(polygon.edges() + segs)
+    if bad is not None:
+        i, j, _ = bad
+        if i < n:
+            raise CrossingDiagonalsError(
+                f"diagonal {canon[j - n]} meets boundary edge {i}")
+        raise CrossingDiagonalsError(
+            f"diagonals {canon[i - n]} and {canon[j - n]} cross")
+    for d, s in zip(canon, segs):
         mid = Point((s.a.x + s.b.x) / 2, (s.a.y + s.b.y) / 2)
         if point_in_polygon(polygon, mid) != "inside":
             raise CrossingDiagonalsError(f"diagonal {d} leaves the polygon")
-    for d1, d2 in combinations(canon, 2):
-        inter = segment_intersection(segs[d1], segs[d2])
-        if inter is None:
-            continue
-        s1, s2 = segs[d1], segs[d2]
-        if isinstance(inter, Segment) or inter not in {s1.a, s1.b} & {s2.a, s2.b}:
-            raise CrossingDiagonalsError(f"diagonals {d1} and {d2} cross")
 
     raw = _split_triangles(list(range(n)), frozenset(canon))
     tris = []

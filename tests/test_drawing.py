@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from grrdecomp import drawing, geometry
 from grrdecomp.drawing import (
     clockwise_order,
     components,
@@ -60,6 +61,36 @@ def test_edges_may_touch_at_shared_endpoint_only():
                          [(0, 1), (2, 3)])
 
 
+def test_crossing_message_names_the_smallest_edge_pair():
+    # edges 1 and 2 cross at the left, 0 and 3 at the right
+    with pytest.raises(CrossingEdgesError,
+                       match=r"^edges 0 and 3 cross at \(11, 1\)$"):
+        validate_drawing(_v((10, 0), (12, 2), (0, 0), (2, 2), (0, 2), (2, 0),
+                            (10, 2), (12, 0)),
+                         [(0, 1), (2, 3), (4, 5), (6, 7)])
+
+
+def test_validate_drawing_skips_pairs_apart_in_x(monkeypatch):
+    calls = 0
+    real = geometry.segment_intersection
+
+    def counting(s1, s2):
+        nonlocal calls
+        calls += 1
+        return real(s1, s2)
+
+    # count the calls made through any module that binds the name
+    for module in (geometry, drawing):
+        if hasattr(module, "segment_intersection"):
+            monkeypatch.setattr(module, "segment_intersection", counting)
+    m = 400
+    d = validate_drawing(_v(*((i, 0 if i % 2 == 0 else 10)
+                              for i in range(m + 1))),
+                         [(i, i + 1) for i in range(m)])
+    assert d.n_edges == m
+    assert calls <= 4 * m
+
+
 def test_clockwise_order_around_plus_center():
     d = plus_drawing()
     order = clockwise_order(d, 0)
@@ -81,10 +112,6 @@ def test_root_tree_structure():
     for v, kids in rt.children.items():
         for w in kids:
             assert pos[w] < pos[v]
-    # subtree sets nest
-    for v, kids in rt.children.items():
-        for w in kids:
-            assert rt.subtree[w] < rt.subtree[v]
 
 
 def test_root_tree_guards():

@@ -19,6 +19,7 @@ from grrdecomp.geometry import (
     halfstrip_intersects,
     halfstrip_reaches_triangle_interior,
     hp,
+    improper_contact,
     in_hp,
     on_segment,
     orientation,
@@ -130,6 +131,48 @@ def test_segment_intersection_disjoint_with_overlapping_boxes():
     assert segment_intersection(s1, Segment(pt(1, 0), pt(4, 3))) is None
 
 
+def _seg(x1, y1, x2, y2):
+    return Segment(pt(x1, y1), pt(x2, y2))
+
+
+def test_improper_contact_vertical_segments_with_tied_x():
+    low, high, far = _seg(1, 0, 1, 2), _seg(1, 2, 1, 4), _seg(1, 5, 1, 6)
+    assert improper_contact([low, high, far]) is None
+    assert improper_contact([low, far, _seg(1, 1, 1, 3)]) == (
+        0, 2, _seg(1, 1, 1, 2))
+    # closed x-ranges that only touch are still tested
+    assert improper_contact([_seg(0, 0, 1, 2), _seg(2, 0, 3, 0),
+                             _seg(1, 0, 1, 3)]) == (0, 2, pt(1, 2))
+
+
+def test_improper_contact_at_a_common_endpoint():
+    base = _seg(0, 0, 2, 0)
+    assert improper_contact([base, _seg(0, 0, -1, 0)]) is None
+    assert improper_contact([base, _seg(0, 0, 1, 1)]) is None
+    assert improper_contact([base, _seg(2, 0, 1, 0)]) == (
+        0, 1, _seg(1, 0, 2, 0))
+    assert improper_contact([_seg(0, 0, 1, 0), base]) == (
+        0, 1, _seg(0, 0, 1, 0))
+    # two common endpoints: the same segment
+    assert improper_contact([base, _seg(2, 0, 0, 0)]) == (0, 1, base)
+
+
+def test_improper_contact_t_junction_returns_the_crossing_point():
+    assert improper_contact([_seg(0, 0, 4, 0), _seg(2, 0, 2, 3)]) == (
+        0, 1, pt(2, 0))
+    assert improper_contact([_seg(2, 3, 2, 0), _seg(4, 0, 0, 0)]) == (
+        0, 1, pt(2, 0))
+
+
+def test_improper_contact_names_the_smallest_pair():
+    # the sweep meets the crossing of 1 and 2 first; (0, 3) is smaller
+    segs = [_seg(10, 0, 12, 2), _seg(0, 0, 2, 2), _seg(0, 2, 2, 0),
+            _seg(10, 2, 12, 0)]
+    assert improper_contact(segs) == (0, 3, pt(11, 1))
+    assert improper_contact(segs[1:3]) == (0, 1, pt(1, 1))
+    assert improper_contact([]) is None
+
+
 def test_halfplane_predicate():
     h = hp(pt(0, 0), pt(2, 0))
     assert in_hp(h, pt(2, 0))      # boundary counts
@@ -220,6 +263,14 @@ def test_polygon_validation():
         Polygon([pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 0), pt(0, 2), pt(-1, 1)])
     with pytest.raises(NotSimplePolygonError):
         Polygon([pt(0, 0), pt(1, 0)])
+    # vertex 4 lies on edge 1, so edges 3 and 4 both touch it there;
+    # the message names the smaller pair
+    with pytest.raises(NotSimplePolygonError,
+                       match=r"^boundary edges 1 and 3 intersect at \(3, 0\)$"):
+        Polygon([pt(0, 0), pt(2, 0), pt(4, 0), pt(4, 2), pt(3, 0), pt(0, 2)])
+    with pytest.raises(NotSimplePolygonError,
+                       match=r"^boundary edges 0 and 1 overlap$"):
+        Polygon([pt(0, 0), pt(4, 0), pt(2, 0), pt(2, 2)])
 
 
 def test_polygon_edges():

@@ -84,6 +84,18 @@ def test_crossing_diagonals_are_rejected():
         build_dual_tree(hexagon, [(0, 2), (1, 3), (0, 3)])
 
 
+def test_diagonal_through_a_vertex_is_rejected():
+    # (0, 2) runs through the notch tip, vertex 4 at (2, 2)
+    notch = Polygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(3, 4), pt(2, 2),
+                     pt(0, 3)])
+    with pytest.raises(CrossingDiagonalsError,
+                       match=r"^diagonal \(0, 2\) meets boundary edge 3$"):
+        build_dual_tree(notch, [(1, 4), (0, 4), (0, 2)])
+    with pytest.raises(CrossingDiagonalsError,
+                       match=r"^diagonals \(0, 4\) and \(1, 5\) cross$"):
+        build_dual_tree(notch, [(1, 4), (0, 4), (1, 5)])
+
+
 def test_escaping_diagonal_is_rejected():
     # (3, 6) jumps across the notch mouth, outside the polygon
     with pytest.raises(CrossingDiagonalsError):
