@@ -8,7 +8,6 @@ routability, so everything in this package reduces to them.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,13 +29,12 @@ from .geometry import (
     Polygon,
     Segment,
     dot,
-    halfstrip,
-    halfstrip_reaches_triangle_interior,
     hp,
     in_hp,
     on_segment,
     point_in_polygon,
     segment_intersection,
+    strip_meets_open_triangle,
 )
 
 
@@ -152,37 +150,25 @@ def polygon_conflicting_edge_pairs(poly: Polygon) -> tuple[tuple[int, int], ...]
 
 def _dual_step_toward(tp, i: int, j: int) -> int:
     """First triangle after i on the unique dual-tree path to j."""
-    prev = {i: None}
-    queue = deque([i])
-    while queue:
-        x = queue.popleft()
-        if x == j:
-            break
-        for y in tp.dual_adjacency[x]:
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    if j not in prev:
-        raise GRRError("dual graph is not connected")
-    x = j
-    while prev[x] != i:
-        x = prev[x]
-    return x
+    parent, depth = tp.parent, tp.depth
+    x, below = j, depth[i] + 1
+    while depth[x] > below:
+        x = parent[x]
+    return x if depth[x] == below and parent[x] == i else parent[i]
 
 
 def _strips_reach(tp, i: int, j: int) -> bool:
     # strips leave tau_i through its two edges that are not the diagonal
-    # crossed by the dual path toward tau_j
-    nxt = _dual_step_toward(tp, i, j)
-    shared = set(tp.triangles[i]) & set(tp.triangles[nxt])
-    (third,) = set(tp.triangles[i]) - shared
-    a, b = sorted(shared)
-    pts = tp.polygon.points
-    pa, pb, pc = pts[a], pts[b], pts[third]
-    tri_j = tuple(pts[v] for v in tp.triangles[j])
-    return (halfstrip_reaches_triangle_interior(halfstrip(pb, pc, pa), tri_j)
-            or halfstrip_reaches_triangle_interior(halfstrip(pa, pc, pb),
-                                                   tri_j))
+    # crossed by the dual path toward tau_j; lattice signs decide them
+    nxt = tp.triangles[_dual_step_toward(tp, i, j)]
+    p, q, r = tp.triangles[i]
+    a, b, c = ((q, r, p) if p not in nxt else (r, p, q) if q not in nxt
+               else (p, q, r))
+    lat = tp.lattice
+    pa, pb, pc = lat[a], lat[b], lat[c]
+    t0, t1, t2 = (lat[v] for v in tp.triangles[j])
+    return (strip_meets_open_triangle(pb, pc, pa, t0, t1, t2)
+            or strip_meets_open_triangle(pa, pc, pb, t0, t1, t2))
 
 
 def triangles_conflict(tp, i: int, j: int) -> bool:

@@ -147,6 +147,21 @@ def segment_intersection(s1: Segment, s2: Segment):
     return Segment(s1.at(lo), s1.at(hi))
 
 
+def _improper_pair(s: Segment, t: Segment) -> bool:
+    """Do s and t meet other than in one common endpoint?
+
+    With one common endpoint p and other endpoints u, v they overlap iff
+    cross(u - p, v - p) == 0 and dot(u - p, v - p) > 0; two common
+    endpoints make the same segment.
+    """
+    a, b, c, d = s.a, s.b, t.a, t.b
+    p = a if a in (c, d) else b if b in (c, d) else None
+    if p is None:
+        return segment_intersection(s, t) is not None
+    u, v = (b if p is a else a) - p, (d if p == c else c) - p
+    return u == v or (cross(u, v) == 0 and dot(u, v) > 0)
+
+
 def improper_contact(segs: Sequence[Segment]):
     """First pair of segments that meets other than in one common endpoint.
 
@@ -154,11 +169,8 @@ def improper_contact(segs: Sequence[Segment]):
     fault, where meet is segment_intersection(segs[i], segs[j]): the
     crossing Point or the overlap Segment. Every segment must have two
     distinct endpoints. A sweep over the left ends visits only pairs
-    whose closed x-ranges overlap; pairs without a common endpoint reach
-    segment_intersection only if their closed y-ranges overlap too.
-    Segments with one common endpoint p and other endpoints u, v overlap
-    iff cross(u - p, v - p) == 0 and dot(u - p, v - p) > 0; two common
-    endpoints make the same segment.
+    whose closed x-ranges overlap, and decides a pair with
+    _improper_pair only if their closed y-ranges overlap too.
     """
     n = len(segs)
     lo = [min(s.a.x, s.b.x) for s in segs]
@@ -169,21 +181,13 @@ def improper_contact(segs: Sequence[Segment]):
     best = None
     for k in range(n):
         i = order[k]
-        a, b = segs[i].a, segs[i].b
         for m in range(k + 1, n):
             j = order[m]
             if lo[j] > hi[i]:
                 break
-            c, d = segs[j].a, segs[j].b
-            p = a if a in (c, d) else b if b in (c, d) else None
-            if p is None:
-                if (ylo[j] > yhi[i] or ylo[i] > yhi[j]
-                        or segment_intersection(segs[i], segs[j]) is None):
-                    continue
-            else:
-                u, v = (b if p is a else a) - p, (d if p == c else c) - p
-                if u != v and (cross(u, v) != 0 or dot(u, v) <= 0):
-                    continue
+            if (ylo[j] > yhi[i] or ylo[i] > yhi[j]
+                    or not _improper_pair(segs[i], segs[j])):
+                continue
             pair = (min(i, j), max(i, j))
             best = min(best, pair) if best else pair
     if best is None:
@@ -326,54 +330,51 @@ def halfstrip_intersects(strip: Halfstrip, target: Segment,
     return iv.feasible
 
 
-def clip_halfplane(points: Sequence[Point], n: Point, c: Fraction) -> list[Point]:
-    """Sutherland-Hodgman clip of a convex polygon by dot(q, n) + c >= 0."""
-    if not points:
-        return []
-    out: list[Point] = []
-    vals = [dot(q, n) + c for q in points]
-    m = len(points)
-    for i in range(m):
-        p1, v1 = points[i], vals[i]
-        p2, v2 = points[(i + 1) % m], vals[(i + 1) % m]
-        if v1 >= 0:
-            out.append(p1)
-        if (v1 > 0 > v2) or (v1 < 0 < v2):
-            t = v1 / (v1 - v2)
-            out.append(p1 + (p2 - p1) * t)
-    return out
+def strip_meets_open_triangle(a, b, c, t0, t1, t2) -> bool:
+    """Does the closed halfstrip swept from base a-b away from c meet the
+    open counterclockwise triangle t0 t1 t2?
+
+    Points are plain (x, y) pairs of one exact number type, so the same
+    rule runs on Fractions and on integer lattice coordinates: every test
+    is the sign of a product of coordinate differences. The strip has an
+    interior and the triangle is open, so they meet iff their interiors
+    do, iff no separating axis exists among the strip's three sides and
+    the triangle's three edges.
+    """
+    ax, ay = a
+    dx, dy = b[0] - ax, b[1] - ay
+    nx, ny = -dy, dx
+    if (c[0] - ax) * nx + (c[1] - ay) * ny > 0:
+        nx, ny = dy, -dx
+    tri = (t0, t1, t2)
+    along = [(x - ax) * dx + (y - ay) * dy for x, y in tri]
+    if max(along) <= 0 or min(along) >= dx * dx + dy * dy:
+        return False
+    if all((x - ax) * nx + (y - ay) * ny <= 0 for x, y in tri):
+        return False
+    bx, by = b
+    for (ux, uy), (vx, vy) in ((t0, t1), (t1, t2), (t2, t0)):
+        ex, ey = vx - ux, vy - uy
+        # the strip lies on the closed outer side of this edge: its
+        # recession direction n and both base corners do
+        if (ex * ny <= ey * nx and ex * (ay - uy) <= ey * (ax - ux)
+                and ex * (by - uy) <= ey * (bx - ux)):
+            return False
+    return True
 
 
 def halfstrip_reaches_triangle_interior(strip: Halfstrip,
                                         tri: Sequence[Point]) -> bool:
-    """Does the (closed) strip contain a point strictly inside the triangle?
-
-    The triangle interior is open, so clipping the closed triangle by the
-    three closed strip constraints and testing the clip's centroid for
-    strict interiority is exact: the clip is full-dimensional inside the
-    triangle iff its centroid is.
-    """
+    """Does the (closed) strip contain a point strictly inside the triangle?"""
     t0, t1, t2 = tri
-    if orientation(t0, t1, t2) == 0:
+    turn = orientation(t0, t1, t2)
+    if turn == 0:
         raise ValueError("degenerate triangle")
-    if orientation(t0, t1, t2) < 0:
+    if turn < 0:
         t1, t2 = t2, t1
-    d, n = strip._frame()
-    dd = dot(d, d)
-    kernel: list[Point] = [t0, t1, t2]
-    # s >= 0 ; s <= |d|^2 ; off >= 0   (all closed)
-    kernel = clip_halfplane(kernel, d, -dot(strip.a, d))
-    kernel = clip_halfplane(kernel, Point(-d.x, -d.y), dot(strip.a, d) + dd)
-    kernel = clip_halfplane(kernel, n, -dot(strip.a, n))
-    if not kernel:
-        return False
-    cx = sum(q.x for q in kernel) / len(kernel)
-    cy = sum(q.y for q in kernel) / len(kernel)
-    centroid = Point(cx, cy)
-    for u, v in ((t0, t1), (t1, t2), (t2, t0)):
-        if cross(v - u, centroid - u) <= 0:
-            return False
-    return True
+    return strip_meets_open_triangle(
+        (strip.a.x, strip.a.y), (strip.b.x, strip.b.y),
+        (strip.c.x, strip.c.y), (t0.x, t0.y), (t1.x, t1.y), (t2.x, t2.y))
 
 
 # -- polygons -----------------------------------------------------------------

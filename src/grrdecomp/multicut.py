@@ -27,7 +27,7 @@ class MulticutInstance:
     """
 
     __slots__ = ("nodes", "edges", "weights", "terminal_pairs",
-                 "_adj", "_parent", "_depth", "_parent_edge")
+                 "_index", "_adj", "_parent", "_depth", "_parent_edge")
 
     def __init__(self, edges: Sequence[tuple], terminal_pairs: Sequence[tuple],
                  weights: Optional[Sequence] = None):
@@ -82,6 +82,7 @@ class MulticutInstance:
             pairs.append((s, t))
         self.nodes = tuple(sorted(nodes))
         self.edges = tuple(elist)
+        self._index = {e: i for i, e in enumerate(elist)}
         self.weights = tuple(wlist)
         self.terminal_pairs = tuple(pairs)
         self._adj = {u: tuple(lst) for u, lst in adj.items()}
@@ -94,7 +95,11 @@ class MulticutInstance:
         return len(self.edges)
 
     def edge_index(self, u, v) -> int:
-        return self.edges.index(_canon(u, v))
+        key = _canon(u, v)
+        try:
+            return self._index[key]
+        except KeyError:
+            raise ValueError(f"{key} is not a tree edge") from None
 
     def path_edges(self, s, t) -> tuple[int, ...]:
         """Edge indices on the unique s-t path."""
@@ -131,9 +136,10 @@ def _cut_indices(inst: MulticutInstance, cut) -> set[int]:
     idx = set()
     for u, v in pairs:
         key = _canon(u, v)
-        if key not in inst.edges:
+        i = inst._index.get(key)
+        if i is None:
             raise ValueError(f"cut edge {key} is not a tree edge")
-        idx.add(inst.edges.index(key))
+        idx.add(i)
     return idx
 
 

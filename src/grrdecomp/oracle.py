@@ -29,8 +29,8 @@ from .geometry import (
     Point,
     Polygon,
     Segment,
+    _improper_pair,
     frac,
-    improper_contact,
     orientation,
     point_in_polygon,
     segment_intersection,
@@ -268,7 +268,7 @@ def random_tree_drawing(rng: random.Random, n_edges: int,
                 # every placed point is an endpoint of a placed edge, so
                 # a point lying on the new edge is an improper contact
                 seg = Segment(pts[par], q)
-                if improper_contact(segs + [seg]) is None:
+                if not any(_improper_pair(s, seg) for s in segs):
                     pts.append(q)
                     parents.append(par)
                     segs.append(seg)

@@ -9,6 +9,7 @@ diagonals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .analysis import polygon_is_grr, triangles_conflict
 from .drawing import components
@@ -20,14 +21,7 @@ from .errors import (
     InvalidTriangulationError,
     PieceNotSimpleError,
 )
-from .geometry import (
-    Point,
-    Polygon,
-    Segment,
-    improper_contact,
-    orientation,
-    point_in_polygon,
-)
+from .geometry import Polygon, Segment, improper_contact, orientation
 from .multicut import Cut, MulticutInstance, approx_gvy, solve_exact_small
 
 
@@ -37,19 +31,27 @@ class TriangulatedPolygon:
     triangles are counterclockwise vertex-index triples, sorted and
     canonicalized so ids are stable; the dual graph has one node per
     triangle and one edge per diagonal, and is always a tree.
+
+    lattice holds the vertices as integer pairs, scaled by the LCM of
+    the coordinate denominators; it keeps every orientation sign, which
+    is all the triangle conflict test reads. parent and depth root the
+    dual tree at triangle 0 (the root's parent is None).
     """
 
     __slots__ = ("polygon", "diagonals", "triangles", "dual_edges",
-                 "dual_adjacency", "_diag_of")
+                 "dual_adjacency", "_diag_of", "lattice", "parent", "depth")
 
     def __init__(self, polygon: Polygon, diagonals, triangles, dual_edges,
-                 dual_adjacency, diag_of):
+                 dual_adjacency, diag_of, lattice, parent, depth):
         self.polygon = polygon
         self.diagonals = diagonals
         self.triangles = triangles
         self.dual_edges = dual_edges
         self.dual_adjacency = dual_adjacency
         self._diag_of = diag_of
+        self.lattice = lattice
+        self.parent = parent
+        self.depth = depth
 
     @property
     def n_triangles(self) -> int:
@@ -96,6 +98,21 @@ def _split_triangles(cycle: list[int], diag_set: frozenset) -> list[tuple]:
     return out
 
 
+def _in_cone(lattice, a: int, b: int) -> bool:
+    """Does the ray from vertex a toward vertex b leave a into the open
+    interior angle at a? The boundary is counterclockwise."""
+    ax, ay = lattice[a]
+    (px, py), (nx, ny) = lattice[a - 1], lattice[(a + 1) % len(lattice)]
+    ux, uy = px - ax, py - ay
+    vx, vy = nx - ax, ny - ay
+    wx, wy = lattice[b][0] - ax, lattice[b][1] - ay
+    after_next = vx * wy - vy * wx > 0
+    before_prev = wx * uy - wy * ux > 0
+    if vx * uy - vy * ux > 0:
+        return after_next and before_prev
+    return after_next or before_prev
+
+
 def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
     """Validate a triangulation and derive its triangles and dual tree."""
     n = polygon.n
@@ -135,9 +152,14 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
                 f"diagonal {canon[j - n]} meets boundary edge {i}")
         raise CrossingDiagonalsError(
             f"diagonals {canon[i - n]} and {canon[j - n]} cross")
-    for d, s in zip(canon, segs):
-        mid = Point((s.a.x + s.b.x) / 2, (s.a.y + s.b.y) / 2)
-        if point_in_polygon(polygon, mid) != "inside":
+    scale = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+    lattice = tuple((p.x.numerator * (scale // p.x.denominator),
+                     p.y.numerator * (scale // p.y.denominator)) for p in pts)
+    # no open diagonal touches the boundary, so each lies wholly inside
+    # or wholly outside: inside iff it leaves its first endpoint into the
+    # interior angle there
+    for d in canon:
+        if not _in_cone(lattice, d[0], d[1]):
             raise CrossingDiagonalsError(f"diagonal {d} leaves the polygon")
 
     raw = _split_triangles(list(range(n)), frozenset(canon))
@@ -153,9 +175,10 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
         raise IncompleteTriangulationError(
             f"derived {len(triangles)} triangles, expected {n - 2}")
 
+    nt = len(triangles)
     diag_of: dict[tuple[int, int], tuple[int, int]] = {}
     dual_edges = []
-    adj: dict[int, list[int]] = {i: [] for i in range(len(triangles))}
+    adj: dict[int, list[int]] = {i: [] for i in range(nt)}
     for d in sorted(canon):
         owners = [i for i, t in enumerate(triangles)
                   if d[0] in t and d[1] in t]
@@ -167,13 +190,25 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
         diag_of[(ti, tj)] = d
         adj[ti].append(tj)
         adj[tj].append(ti)
+    parent: list = [None] * nt
+    depth = [0] * nt
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                order.append(y)
     return TriangulatedPolygon(
         polygon=polygon,
         diagonals=tuple(sorted(canon)),
         triangles=triangles,
         dual_edges=tuple(sorted(dual_edges)),
         dual_adjacency={i: tuple(sorted(v)) for i, v in adj.items()},
-        diag_of=diag_of)
+        diag_of=diag_of,
+        lattice=lattice,
+        parent=tuple(parent),
+        depth=tuple(depth))
 
 
 def conflicting_triangle_pairs(tp: TriangulatedPolygon

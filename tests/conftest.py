@@ -85,11 +85,13 @@ def grr_polygon_fixtures():
     }
 
 
-def strip_tp(cells):
-    """A 1-by-cells rectangle strip, two triangles per cell."""
+def strip_tp(cells, rise=0):
+    """A strip of height 1 over cells unit columns, two triangles per
+    cell; with rise > 0 the odd columns are lifted by rise, bending the
+    strip into a zigzag corridor."""
     top0 = 2 * cells + 1
-    points = [pt(i, 0) for i in range(cells + 1)]
-    points += [pt(j, 1) for j in range(cells, -1, -1)]
+    points = [pt(i, rise * (i % 2)) for i in range(cells + 1)]
+    points += [pt(j, rise * (j % 2) + 1) for j in range(cells, -1, -1)]
     diagonals = [(i, top0 - i) for i in range(1, cells)]
     diagonals += [(i + 1, top0 - i) for i in range(cells)]
     return build_dual_tree(Polygon(points), diagonals)

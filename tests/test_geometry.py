@@ -10,7 +10,6 @@ from grrdecomp.geometry import (
     Point,
     Polygon,
     Segment,
-    clip_halfplane,
     cross,
     dot,
     frac,
@@ -231,12 +230,27 @@ def test_halfstrip_intersects_segment():
                                     interior_only=True)
 
 
-def test_clip_halfplane_square():
-    square = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)]
-    kept = clip_halfplane(square, pt(-1, 0), Fraction(1))   # x <= 1
-    assert pt(1, 0) in kept and pt(1, 2) in kept
-    assert all(q.x <= 1 for q in kept)
-    assert clip_halfplane(square, pt(1, 0), Fraction(-5)) == []
+# (triangle, reaches) against the strip of test_halfstrip_triangle_reach
+HALFSTRIP_CONTACTS = [
+    # a strip side through a triangle vertex only
+    ((pt(2, 1), pt(4, 0), pt(4, 2)), False),
+    ((pt(2, -1), pt(3, -3), pt(1, -3)), False),
+    ((pt(2, 1), pt(1, 3), pt(0, 2)), True),
+    # a triangle edge lying on a strip side
+    ((pt(2, 1), pt(4, 2), pt(2, 3)), False),
+    ((pt(0, 0), pt(1, -1), pt(2, 0)), False),
+    ((pt(2, 1), pt(2, 3), pt(1, 2)), True),
+    ((pt(0, 0), pt(2, 0), pt(1, 1)), True),
+    # a triangle touching a base corner only
+    ((pt(2, 0), pt(3, -2), pt(4, -1)), False),
+    ((pt(0, 0), pt(-2, -1), pt(-1, 1)), False),
+    ((pt(2, 0), pt(1, 2), pt(-1, -1)), True),
+    # the base collinear with a triangle edge
+    ((pt(1, 0), pt(4, 0), pt(3, 2)), True),
+    ((pt(3, 0), pt(5, 0), pt(4, 1)), False),
+    ((pt(1, 0), pt(-1, 0), pt(0, -1)), False),
+    ((pt(-1, 0), pt(3, 0), pt(1, -2)), False),
+]
 
 
 def test_halfstrip_triangle_reach():
@@ -251,6 +265,10 @@ def test_halfstrip_triangle_reach():
     assert not halfstrip_reaches_triangle_interior(strip, below)
     with pytest.raises(ValueError):
         halfstrip_reaches_triangle_interior(strip, (pt(0, 0), pt(1, 1), pt(2, 2)))
+    for tri, reaches in HALFSTRIP_CONTACTS:
+        assert halfstrip_reaches_triangle_interior(strip, tri) is reaches, tri
+        assert halfstrip_reaches_triangle_interior(strip, tri[::-1]) is \
+            reaches, tri
 
 
 def test_polygon_validation():

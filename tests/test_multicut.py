@@ -27,6 +27,8 @@ def test_instance_canonicalizes_edges():
     assert inst.edges == ((1, 2), (2, 3))
     assert inst.edge_index(2, 1) == 0
     assert inst.edge_index(2, 3) == 1
+    with pytest.raises(ValueError):
+        inst.edge_index(1, 3)
 
 
 def test_instance_accepts_string_nodes():
@@ -100,7 +102,8 @@ def test_is_multicut_and_weight():
 
 def test_cut_with_foreign_edge_is_rejected():
     inst = path_instance(3, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^cut edge \(0, 2\) is not a tree edge$"):
         is_multicut(inst, [(0, 2)])
 
 

@@ -1,11 +1,13 @@
 """Triangulated polygons: dual trees, piece unions, decompositions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import polygon_fixture_tps, strip_tp
+from grrdecomp import geometry, polydecomp
 from grrdecomp.analysis import polygon_is_grr
 from grrdecomp.errors import (
     BudgetExceededError,
@@ -20,6 +22,7 @@ from grrdecomp.fixtures import (
     convex_hexagon_tp,
     lshape_polygon,
     rect_tp,
+    two_notch_polygon,
     two_notch_tp,
     ushape_polygon,
     ushape_tp,
@@ -98,9 +101,32 @@ def test_diagonal_through_a_vertex_is_rejected():
 
 def test_escaping_diagonal_is_rejected():
     # (3, 6) jumps across the notch mouth, outside the polygon
-    with pytest.raises(CrossingDiagonalsError):
+    with pytest.raises(CrossingDiagonalsError,
+                       match=r"^diagonal \(3, 6\) leaves the polygon$"):
         build_dual_tree(ushape_polygon(),
                         [(5, 7), (0, 5), (0, 4), (1, 4), (3, 6)])
+    # (4, 6) leaves the reflex notch corner 4 into the notch
+    with pytest.raises(CrossingDiagonalsError,
+                       match=r"^diagonal \(4, 6\) leaves the polygon$"):
+        build_dual_tree(ushape_polygon(),
+                        [(5, 7), (0, 5), (0, 4), (1, 4), (4, 6)])
+
+
+def test_dual_tree_build_locates_no_points(monkeypatch):
+    calls = 0
+    real = geometry.point_in_polygon
+
+    def counting(poly, q):
+        nonlocal calls
+        calls += 1
+        return real(poly, q)
+
+    for module in (geometry, polydecomp):
+        if hasattr(module, "point_in_polygon"):
+            monkeypatch.setattr(module, "point_in_polygon", counting)
+    tp = build_dual_tree(two_notch_polygon(), two_notch_tp().diagonals)
+    assert tp.n_triangles == 10
+    assert calls == 0
 
 
 def test_triangle_polygon_has_no_diagonals():
@@ -137,6 +163,45 @@ def test_conflicting_triangle_inventory():
     for name, tp in polygon_fixture_tps().items():
         assert conflicting_triangle_pairs(tp) == \
             FIXTURE_TRIANGLE_CONFLICTS[name], name
+
+
+def test_conflicts_with_coprime_denominators_match_the_scaled_copy():
+    # every coordinate of two_notch moves by 1/p for its own prime p near
+    # 10**6, so the lattice scale is the product of 24 primes
+    primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+              1000117, 1000121, 1000133, 1000151, 1000159, 1000171,
+              1000183, 1000187, 1000193, 1000199, 1000211, 1000213,
+              1000231, 1000249, 1000253, 1000273, 1000289, 1000291]
+    base = two_notch_tp()
+    pts = [pt(p.x + Fraction(1, primes[2 * k]),
+              p.y - Fraction(1, primes[2 * k + 1]))
+           for k, p in enumerate(base.polygon.points)]
+    scale = math.prod(primes)
+    fine = build_dual_tree(Polygon(pts), base.diagonals)
+    whole = build_dual_tree(Polygon(pt(p.x * scale, p.y * scale)
+                                    for p in pts), base.diagonals)
+    expected = ((0, 6), (1, 6), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7),
+                (3, 8), (4, 7), (4, 8), (4, 9), (5, 6), (6, 7), (6, 8),
+                (6, 9), (7, 9), (8, 9))
+    assert conflicting_triangle_pairs(fine) == expected
+    assert conflicting_triangle_pairs(whole) == expected
+
+
+def test_triangle_conflicts_build_no_points(monkeypatch):
+    calls = 0
+    real = Point.__post_init__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        real(self)
+
+    tp = strip_tp(20, rise=2)
+    assert tp.n_triangles == 40
+    monkeypatch.setattr(Point, "__post_init__", counting)
+    pairs = conflicting_triangle_pairs(tp)
+    assert calls == 0
+    assert len(pairs) == 213
 
 
 # -- piece unions ---------------------------------------------------------------------
