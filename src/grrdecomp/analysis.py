@@ -24,7 +24,6 @@ from .errors import (
     UnknownTriangleError,
 )
 from .geometry import (
-    ParamInterval,
     Point,
     Polygon,
     Segment,
@@ -34,6 +33,7 @@ from .geometry import (
     on_segment,
     point_in_polygon,
     segment_intersection,
+    slab_projections,
     strip_meets_open_triangle,
 )
 
@@ -56,27 +56,32 @@ def _slab_witness(ea: Point, eb: Point, seg: Segment,
                   outward: Optional[Point]) -> Optional[tuple[Point, Point]]:
     """Shared core of the two conflict tests.
 
-    Intersects seg with the open slab of edge ea-eb (and, when outward is
-    given, the open outward halfplane); returns (foot, hit) or None.
-    A segment whose endpoints both project onto the same closed side of
-    the slab misses the open slab, so it is rejected before the interval
-    clip; without outward, every other segment gets a witness.
+    Clips seg to the open slab of edge ea-eb (and, when outward is given,
+    to the open outward halfplane); returns (foot, hit) or None. The clip
+    spans [0, 1] between seg's slab roots (geometry.slab_projections),
+    which are the cuts subdivide makes in seg, narrowed by the outward
+    root; it is feasible iff lo < hi, and hit is its midpoint.
     """
-    de = eb - ea
-    dd = dot(de, de)
-    s0 = dot(seg.a - ea, de)
-    s1 = dot(seg.b - ea, de)
+    s0, s1, dd = slab_projections(ea, eb, seg.a, seg.b)
     if (s0 <= 0 and s1 <= 0) or (s0 >= dd and s1 >= dd):
         return None
-    iv = ParamInterval()
-    iv.cut(s1 - s0, s0, strict=True)
-    iv.cut(s0 - s1, dd - s0, strict=True)
+    lo, hi = Fraction(0), Fraction(1)
+    if s0 != s1:
+        r0, r1 = s0 / (s0 - s1), (s0 - dd) / (s0 - s1)
+        lo, hi = max(lo, min(r0, r1)), min(hi, max(r0, r1))
     if outward is not None:
-        iv.cut(dot(seg.direction(), outward), dot(seg.a - ea, outward),
-               strict=True)
-    if not iv.feasible:
+        a = dot(seg.direction(), outward)
+        b = dot(seg.a - ea, outward)
+        if a > 0:
+            lo = max(lo, -b / a)
+        elif a < 0:
+            hi = min(hi, -b / a)
+        elif b <= 0:
+            return None
+    if lo >= hi:
         return None
-    hit = seg.at(iv.witness())
+    hit = seg.at((lo + hi) / 2)
+    de = eb - ea
     foot = ea + de * (dot(hit - ea, de) / dd)
     return foot, hit
 
@@ -91,20 +96,27 @@ def drawing_edges_conflict(d: Drawing, e: int, f: int) -> Optional[ConflictWitne
         raise ValueError("conflict test needs two distinct edges")
     se = d.segment(e)
     res = _slab_witness(se.a, se.b, d.segment(f), None)
-    if res is None:
-        return None
-    return ConflictWitness(e, f, res[0], res[1])
+    return None if res is None else ConflictWitness(e, f, *res)
+
+
+def first_conflict(conflict, obj, indices) -> Optional[tuple]:
+    """The first (i, j, witness) over ordered pairs of distinct indices,
+    row by row, where witness = conflict(obj, i, j) is not None; else None.
+    conflict is drawing_edges_conflict or polygon_edges_conflict."""
+    tests = ((i, j, conflict(obj, i, j))
+             for i in indices for j in indices if i != j)
+    return next((t for t in tests if t[2] is not None), None)
+
+
+def _unordered_conflicts(conflict, obj, n: int) -> tuple[tuple[int, int], ...]:
+    """Pairs i < j of range(n) that conflict in at least one direction."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                 if conflict(obj, i, j) or conflict(obj, j, i))
 
 
 def conflicting_pairs(d: Drawing) -> tuple[tuple[int, int], ...]:
     """Unordered edge pairs that conflict in at least one direction."""
-    out = []
-    for i in range(d.n_edges):
-        for j in range(i + 1, d.n_edges):
-            if (drawing_edges_conflict(d, i, j)
-                    or drawing_edges_conflict(d, j, i)):
-                out.append((i, j))
-    return tuple(out)
+    return _unordered_conflicts(drawing_edges_conflict, d, d.n_edges)
 
 
 def polygon_edges_conflict(poly: Polygon, e: int, f: int
@@ -120,32 +132,18 @@ def polygon_edges_conflict(poly: Polygon, e: int, f: int
     dirv = se.direction()
     outward = Point(dirv.y, -dirv.x)  # right of a ccw boundary edge
     res = _slab_witness(se.a, se.b, poly.edge(f), outward)
-    if res is None:
-        return None
-    return ConflictWitness(e, f, res[0], res[1])
+    return None if res is None else ConflictWitness(e, f, *res)
 
 
 def polygon_is_grr(poly: Polygon) -> Optional[ConflictWitness]:
     """None when the polygon is greedily routable, else the first witness
     in boundary-index order."""
-    for i in range(poly.n):
-        for j in range(poly.n):
-            if i == j:
-                continue
-            w = polygon_edges_conflict(poly, i, j)
-            if w is not None:
-                return w
-    return None
+    found = first_conflict(polygon_edges_conflict, poly, range(poly.n))
+    return None if found is None else found[2]
 
 
 def polygon_conflicting_edge_pairs(poly: Polygon) -> tuple[tuple[int, int], ...]:
-    out = []
-    for i in range(poly.n):
-        for j in range(i + 1, poly.n):
-            if (polygon_edges_conflict(poly, i, j)
-                    or polygon_edges_conflict(poly, j, i)):
-                out.append((i, j))
-    return tuple(out)
+    return _unordered_conflicts(polygon_edges_conflict, poly, poly.n)
 
 
 def _dual_step_toward(tp, i: int, j: int) -> int:
@@ -239,11 +237,7 @@ def tree_increasing_chord(d: Drawing, edge_subset) -> bool:
             d.other_endpoint(idx, v) for idx in d.adjacency[v]
             if idx in sset])) != 1:
         return False
-    for i in subset:
-        for j in subset:
-            if i != j and drawing_edges_conflict(d, i, j):
-                return False
-    return True
+    return first_conflict(drawing_edges_conflict, d, subset) is None
 
 
 # -- path families around a shared origin --------------------------------------

@@ -16,7 +16,7 @@ from .errors import (
     UnknownVertexError,
     ZeroLengthEdgeError,
 )
-from .geometry import Point, Segment, cross, dot, improper_contact
+from .geometry import Point, Segment, cross, improper_contact, slab_projections
 
 
 class Drawing:
@@ -256,21 +256,21 @@ def subdivide(d: Drawing) -> SubdividedDrawing:
     """Split every edge at the normal lines through other edges' endpoints.
 
     For each ordered edge pair (e, f), the lines perpendicular to e through
-    e's endpoints cut f wherever they cross f's relative interior. Landings
-    on f's endpoints and degenerate (parallel) configurations cut nothing.
+    e's endpoints cut f wherever they cross f's relative interior: at the
+    slab roots of geometry.slab_projections in (0, 1), which also bound
+    the clip in analysis._slab_witness. Landings on f's endpoints and f
+    parallel to the normal lines cut nothing.
     """
+    segs = [d.segment(i) for i in range(d.n_edges)]
     cuts: dict[int, set[Fraction]] = {i: set() for i in range(d.n_edges)}
-    for e_idx, (u, v) in enumerate(d.edges):
-        de = d.points[v] - d.points[u]
-        for w in (d.points[u], d.points[v]):
-            for f_idx, (a, b) in enumerate(d.edges):
-                if f_idx == e_idx:
-                    continue
-                fa = dot(d.points[a] - w, de)
-                fb = dot(d.points[b] - w, de)
-                if fa == fb:
-                    continue  # f parallel to the normal line: no transversal cut
-                t = fa / (fa - fb)
+    for e_idx, se in enumerate(segs):
+        for f_idx, sf in enumerate(segs):
+            if f_idx == e_idx:
+                continue
+            s0, s1, dd = slab_projections(se.a, se.b, sf.a, sf.b)
+            if s0 == s1:
+                continue  # f parallel to the normal lines: no transversal cut
+            for t in (s0 / (s0 - s1), (s0 - dd) / (s0 - s1)):
                 if 0 < t < 1:
                     cuts[f_idx].add(t)
     vertices = [(vid, d.points[vid]) for vid in d.vertex_ids]
@@ -278,7 +278,7 @@ def subdivide(d: Drawing) -> SubdividedDrawing:
     new_edges: list[tuple[int, int]] = []
     origin: dict[int, tuple[int, Fraction, Fraction]] = {}
     for e_idx, (u, v) in enumerate(d.edges):
-        seg = d.segment(e_idx)
+        seg = segs[e_idx]
         prev_vid, prev_t = u, Fraction(0)
         for t in sorted(cuts[e_idx]):
             vid = next_id

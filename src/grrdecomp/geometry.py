@@ -79,6 +79,17 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     return (v > 0) - (v < 0)
 
 
+def slab_projections(ea: Point, eb: Point, fa: Point, fb: Point
+                     ) -> tuple[Fraction, Fraction, Fraction]:
+    """(s0, s1, dd): dot(fa - ea, de), dot(fb - ea, de) and dot(de, de)
+    for de = eb - ea. A point of f is in e's open slab iff its projection
+    is in (0, dd); the normals to e through ea and eb cross the line of f
+    at the slab roots s0/(s0 - s1) and (s0 - dd)/(s0 - s1) along fa-fb.
+    """
+    de = eb - ea
+    return dot(fa - ea, de), dot(fb - ea, de), dot(de, de)
+
+
 @dataclass(frozen=True, slots=True)
 class Segment:
     a: Point
@@ -135,10 +146,8 @@ def segment_intersection(s1: Segment, s2: Segment):
     if cross(qp, d1) != 0:
         return None
     # collinear: project s2 endpoints onto s1's parameterization
-    dd = dot(d1, d1)
-    t0 = dot(s2.a - s1.a, d1) / dd
-    t1 = dot(s2.b - s1.a, d1) / dd
-    lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
+    p0, p1, dd = slab_projections(s1.a, s1.b, s2.a, s2.b)
+    lo, hi = sorted((p0 / dd, p1 / dd))
     lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
     if lo > hi:
         return None
@@ -221,114 +230,7 @@ def in_hp(h: Halfplane, r: Point) -> bool:
     return dot(r, h.n) >= h.c
 
 
-# -- feasibility intervals ----------------------------------------------------
-
-class ParamInterval:
-    """Rational interval maintained under linear cuts a*u + b >= 0 (or > 0).
-
-    Used to intersect a parameterized segment with slab/strip constraints;
-    witness() returns the canonical midpoint of the surviving interval.
-    """
-
-    __slots__ = ("lo", "hi", "lo_strict", "hi_strict", "empty")
-
-    def __init__(self, lo=Fraction(0), hi=Fraction(1),
-                 lo_strict: bool = False, hi_strict: bool = False):
-        self.lo = frac(lo)
-        self.hi = frac(hi)
-        self.lo_strict = lo_strict
-        self.hi_strict = hi_strict
-        self.empty = False
-        self._normalize()
-
-    def _normalize(self) -> None:
-        if self.empty:
-            return
-        if self.lo > self.hi:
-            self.empty = True
-        elif self.lo == self.hi and (self.lo_strict or self.hi_strict):
-            self.empty = True
-
-    def cut(self, a: Fraction, b: Fraction, strict: bool) -> None:
-        """Constrain to {u : a*u + b >= 0} (strictly if asked)."""
-        if self.empty:
-            return
-        if a == 0:
-            if b < 0 or (strict and b == 0):
-                self.empty = True
-            return
-        root = -b / a
-        if a > 0:
-            if root > self.lo or (root == self.lo and strict and not self.lo_strict):
-                self.lo, self.lo_strict = root, strict
-        else:
-            if root < self.hi or (root == self.hi and strict and not self.hi_strict):
-                self.hi, self.hi_strict = root, strict
-        self._normalize()
-
-    @property
-    def feasible(self) -> bool:
-        return not self.empty
-
-    def witness(self) -> Fraction:
-        """Midpoint of the interval; satisfies every strict cut applied."""
-        if self.empty:
-            raise ValueError("empty interval has no witness")
-        return (self.lo + self.hi) / 2
-
-
 # -- halfstrips ---------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Halfstrip:
-    """Region swept by translating segment a-b away from point c.
-
-    Closed on all finite sides: the base segment itself belongs to the
-    strip, as do points directly above the base endpoints.
-    """
-    a: Point
-    b: Point
-    c: Point
-
-    def _frame(self):
-        d = self.b - self.a
-        n = Point(-d.y, d.x)
-        if dot(self.c - self.a, n) > 0:
-            n = Point(d.y, -d.x)
-        return d, n
-
-
-def halfstrip(base_from: Point, base_to: Point, away_from: Point) -> Halfstrip:
-    if base_from == base_to:
-        raise ValueError("halfstrip base must not be degenerate")
-    if orientation(base_from, base_to, away_from) == 0:
-        raise ValueError("halfstrip reference point must be off the base line")
-    return Halfstrip(base_from, base_to, away_from)
-
-
-def halfstrip_contains(strip: Halfstrip, q: Point) -> bool:
-    d, n = strip._frame()
-    s = dot(q - strip.a, d)
-    if s < 0 or s > dot(d, d):
-        return False
-    return dot(q - strip.a, n) >= 0
-
-
-def halfstrip_intersects(strip: Halfstrip, target: Segment,
-                         interior_only: bool = False) -> bool:
-    """Does the strip meet the target segment (optionally its open interior)?"""
-    d, n = strip._frame()
-    dd = dot(d, d)
-    f = target.direction()
-    iv = ParamInterval(0, 1, interior_only, interior_only)
-    # s(u) = dot(target.a - strip.a, d) + u * dot(f, d)  in [0, dd]
-    s0 = dot(target.a - strip.a, d)
-    iv.cut(dot(f, d), s0, strict=False)
-    iv.cut(-dot(f, d), dd - s0, strict=False)
-    # off(u) >= 0
-    iv.cut(dot(f, n), dot(target.a - strip.a, n), strict=False)
-    return iv.feasible
-
 
 def strip_meets_open_triangle(a, b, c, t0, t1, t2) -> bool:
     """Does the closed halfstrip swept from base a-b away from c meet the
@@ -361,20 +263,6 @@ def strip_meets_open_triangle(a, b, c, t0, t1, t2) -> bool:
                 and ex * (by - uy) <= ey * (bx - ux)):
             return False
     return True
-
-
-def halfstrip_reaches_triangle_interior(strip: Halfstrip,
-                                        tri: Sequence[Point]) -> bool:
-    """Does the (closed) strip contain a point strictly inside the triangle?"""
-    t0, t1, t2 = tri
-    turn = orientation(t0, t1, t2)
-    if turn == 0:
-        raise ValueError("degenerate triangle")
-    if turn < 0:
-        t1, t2 = t2, t1
-    return strip_meets_open_triangle(
-        (strip.a.x, strip.a.y), (strip.b.x, strip.b.y),
-        (strip.c.x, strip.c.y), (t0.x, t0.y), (t1.x, t1.y), (t2.x, t2.y))
 
 
 # -- polygons -----------------------------------------------------------------

@@ -220,16 +220,15 @@ def approx_gvy(inst: MulticutInstance) -> Cut:
     edges on their path saturate, and all newly saturated edges join the
     cut. A reverse-delete pass restores minimality.
     """
-    order = sorted(
-        range(len(inst.terminal_pairs)),
-        key=lambda k: (-inst._depth[inst.lca(*inst.terminal_pairs[k])],
-                       inst.lca(*inst.terminal_pairs[k]),
-                       inst.terminal_pairs[k]))
+    pairs = inst.terminal_pairs
+    lcas = [inst.lca(s, t) for s, t in pairs]
+    order = sorted(range(len(pairs)),
+                   key=lambda k: (-inst._depth[lcas[k]], lcas[k], pairs[k]))
     load = [Fraction(0)] * inst.n_edges
     added: list[int] = []
     in_cut: set[int] = set()
     for k in order:
-        s, t = inst.terminal_pairs[k]
+        s, t = pairs[k]
         path = inst.path_edges(s, t)
         if any(e in in_cut for e in path):
             continue

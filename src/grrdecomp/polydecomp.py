@@ -9,6 +9,7 @@ diagonals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import lcm
 
 from .analysis import polygon_is_grr, triangles_conflict
@@ -176,12 +177,15 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
             f"derived {len(triangles)} triangles, expected {n - 2}")
 
     nt = len(triangles)
+    owners_of: dict[tuple[int, int], list[int]] = {}
+    for i, t in enumerate(triangles):
+        for side in combinations(sorted(t), 2):
+            owners_of.setdefault(side, []).append(i)
     diag_of: dict[tuple[int, int], tuple[int, int]] = {}
     dual_edges = []
     adj: dict[int, list[int]] = {i: [] for i in range(nt)}
     for d in sorted(canon):
-        owners = [i for i, t in enumerate(triangles)
-                  if d[0] in t and d[1] in t]
+        owners = owners_of.get(d, [])
         if len(owners) != 2:
             raise InvalidTriangulationError(
                 f"diagonal {d} borders {len(owners)} triangles")

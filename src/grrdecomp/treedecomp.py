@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .analysis import conflicting_pairs, drawing_edges_conflict
+from .analysis import conflicting_pairs, drawing_edges_conflict, first_conflict
 from .drawing import (
     Drawing,
     RootedTree,
@@ -178,17 +178,11 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
         elif len(edges) != len(verts) - 1:
             acyc = False
             problems.append(f"component {ci} contains a cycle")
-        clean = True
-        for i in edges:
-            for j in edges:
-                if i != j and drawing_edges_conflict(d, i, j):
-                    confl = False
-                    clean = False
-                    problems.append(
-                        f"component {ci} has conflicting edges {i} and {j}")
-                    break
-            if not clean:
-                break
+        found = first_conflict(drawing_edges_conflict, d, edges)
+        if found is not None:
+            confl = False
+            problems.append(f"component {ci} has conflicting edges "
+                            f"{found[0]} and {found[1]}")
 
     single = True
     for ci in range(len(comps)):

@@ -1,6 +1,8 @@
 """Conflict predicates, increasing-chord tests, and greedy tracing."""
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -43,7 +45,7 @@ from grrdecomp.fixtures import (
     ushape_polygon,
     ushape_tp,
 )
-from grrdecomp.geometry import Polygon, Segment, dot, pt, sq_dist
+from grrdecomp.geometry import Point, Polygon, Segment, cross, dot, pt, sq_dist
 from grrdecomp.oracle import chord_property_oracle, random_tree_drawing
 from grrdecomp.polydecomp import build_dual_tree
 from grrdecomp.analysis import triangles_conflict
@@ -112,6 +114,48 @@ def test_slab_crossing_witnesses():
         assert got == (pt(*foot), pt(*hit))
     got = _slab_witness(pt(1, 1), pt(3, 4), Segment(pt(-2, 5), pt(6, 1)), None)
     assert got == (pt("29/13", "37/13"), pt(2, 3))
+
+
+SLAB_FUZZ_DIGEST = (
+    "e07bfa5421c6011febf0f3366d55ed2038580ece3b7bd80672dd962d419b6a42")
+
+
+def _slab_fuzz(n_draws: int, seed: int) -> tuple[str, Counter]:
+    """sha256 over _slab_witness on random small-grid segment pairs, each
+    without outward and with either normal of e, plus the counts of the
+    boundary cases the draws covered."""
+    rng = random.Random(seed)
+    grid = [Fraction(k, 2) for k in range(-4, 5)]
+    h = hashlib.sha256()
+    seen: Counter = Counter()
+    for _ in range(n_draws):
+        ea, eb, fa, fb = (pt(rng.choice(grid), rng.choice(grid))
+                          for _ in range(4))
+        if ea == eb or fa == fb:
+            continue
+        de = eb - ea
+        dd = dot(de, de)
+        s0, s1 = dot(fa - ea, de), dot(fb - ea, de)
+        seen["slab root at 0"] += s0 == 0 or s0 == dd
+        seen["slab root at 1"] += s1 == 0 or s1 == dd
+        for outward in (None, Point(de.y, -de.x), Point(-de.y, de.x)):
+            res = _slab_witness(ea, eb, Segment(fa, fb), outward)
+            h.update(repr(res).encode() + b";")
+            seen["hit" if res else "miss"] += 1
+            if outward is not None:
+                seen["outward-parallel f"] += cross(de, fb - fa) == 0
+                seen["outward root at 0 or 1"] += (
+                    cross(de, fa - ea) == 0 or cross(de, fb - ea) == 0)
+    return h.hexdigest(), seen
+
+
+def test_slab_witness_fuzz_matches_interval_clip():
+    # the digest was recorded with the interval-clip implementation that
+    # the closed form replaced
+    digest, seen = _slab_fuzz(1500, 20261018)
+    assert sum(seen[k] for k in ("hit", "miss")) > 4000
+    assert min(seen.values()) > 20, seen
+    assert digest == SLAB_FUZZ_DIGEST
 
 
 def test_polygon_conflict_needs_the_outward_side():

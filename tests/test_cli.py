@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in-process."""
 
+import argparse
 import json
 
 import pytest
@@ -243,6 +244,25 @@ def test_usage_errors_exit_2(files, capsys):
     assert main(["no-such-command"]) == 2
     f = files("d.json", serialize_drawing(p_ic()))
     assert main(["decompose-tree", f, "--contacts", "bogus"]) == 2
+
+
+def test_parser_is_built_once(files, capsys, monkeypatch):
+    f = files("d.json", serialize_drawing(p_ic()))
+    assert main(["check-drawing", f]) == 0
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["check-drawing", f]) == 0
+    assert main([]) == 2
+    assert main(["no-such-command"]) == 2
+    assert main(["decompose-tree", f, "--contacts", "bogus"]) == 2
+    assert main(["route", f, "--from", "0,0"]) == 2
+    assert built == []
 
 
 def test_missing_file_exits_2(capsys):

@@ -1,5 +1,7 @@
 """Drawing validation, rotation order, rooting, and subdivision."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,9 @@ from grrdecomp.errors import (
     ZeroLengthEdgeError,
 )
 from grrdecomp.fixtures import comb_drawing, p_ic, plus_drawing, star4_cross
+from grrdecomp.formats import serialize_drawing
 from grrdecomp.geometry import pt
+from grrdecomp.oracle import random_tree_drawing
 
 
 def _v(*coords):
@@ -181,6 +185,25 @@ def test_subdivide_comb_counts_and_provenance():
         seg = d.segment(orig)
         frag = sd.drawing.segment(new_idx)
         assert frag.a == seg.at(t0) and frag.b == seg.at(t1)
+
+
+# sha256 over serialize_drawing(subdivide(d).drawing) for _subdivide_digest,
+# recorded with the per-endpoint projection loop that the slab roots replaced
+SUBDIVIDE_DIGEST = (
+    "0f87bff73fe2c2270b892a6d3de2c67eabcd1a2b91b86040e55c4b22834cb001")
+
+
+def _subdivide_digest(n_trees: int, seed: int) -> str:
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(n_trees):
+        d = random_tree_drawing(rng, rng.randint(2, 7))
+        h.update(serialize_drawing(subdivide(d).drawing).encode())
+    return h.hexdigest()
+
+
+def test_subdivide_matches_recorded_corpus():
+    assert _subdivide_digest(50, 4077) == SUBDIVIDE_DIGEST
 
 
 def test_subdivide_vertex_bound():

@@ -6,17 +6,12 @@ import pytest
 
 from grrdecomp.errors import NotCounterclockwiseError, NotSimplePolygonError
 from grrdecomp.geometry import (
-    ParamInterval,
     Point,
     Polygon,
     Segment,
     cross,
     dot,
     frac,
-    halfstrip,
-    halfstrip_contains,
-    halfstrip_intersects,
-    halfstrip_reaches_triangle_interior,
     hp,
     improper_contact,
     in_hp,
@@ -26,6 +21,7 @@ from grrdecomp.geometry import (
     pt,
     segment_intersection,
     sq_dist,
+    strip_meets_open_triangle,
 )
 
 
@@ -185,52 +181,7 @@ def test_halfplane_predicate():
         hp(pt(1, 1), pt(1, 1))
 
 
-def test_param_interval_cuts():
-    iv = ParamInterval()
-    iv.cut(Fraction(1), Fraction(0), strict=False)     # u >= 0, no-op
-    iv.cut(Fraction(-2), Fraction(1), strict=False)    # u <= 1/2
-    assert iv.feasible and iv.witness() == Fraction(1, 4)
-    iv.cut(Fraction(1), Fraction(-1, 2), strict=True)  # u > 1/2: empty
-    assert not iv.feasible
-    with pytest.raises(ValueError):
-        iv.witness()
-
-
-def test_param_interval_degenerate_point():
-    iv = ParamInterval()
-    iv.cut(Fraction(1), Fraction(-1), strict=False)    # u >= 1
-    assert iv.feasible and iv.witness() == 1
-    iv.cut(Fraction(0), Fraction(-1), strict=False)    # 0*u - 1 >= 0: empty
-    assert not iv.feasible
-
-
-def test_halfstrip_construction_guards():
-    with pytest.raises(ValueError):
-        halfstrip(pt(0, 0), pt(0, 0), pt(1, 1))
-    with pytest.raises(ValueError):
-        halfstrip(pt(0, 0), pt(2, 0), pt(1, 0))   # reference on the base line
-
-
-def test_halfstrip_contains():
-    strip = halfstrip(pt(0, 0), pt(4, 0), pt(2, -1))  # opens upward
-    assert halfstrip_contains(strip, pt(0, 0))
-    assert halfstrip_contains(strip, pt(4, 100))
-    assert halfstrip_contains(strip, pt(2, 3))
-    assert not halfstrip_contains(strip, pt(2, -1))   # away side
-    assert not halfstrip_contains(strip, pt(5, 1))    # past the base end
-
-
-def test_halfstrip_intersects_segment():
-    strip = halfstrip(pt(0, 0), pt(4, 0), pt(2, -1))
-    assert halfstrip_intersects(strip, Segment(pt(1, 5), pt(3, 5)))
-    assert not halfstrip_intersects(strip, Segment(pt(5, 1), pt(9, 1)))
-    # touching the strip wall exactly at an endpoint still counts (closed)
-    assert halfstrip_intersects(strip, Segment(pt(4, 2), pt(9, 2)))
-    assert not halfstrip_intersects(strip, Segment(pt(4, 2), pt(9, 2)),
-                                    interior_only=True)
-
-
-# (triangle, reaches) against the strip of test_halfstrip_triangle_reach
+# (triangle, reaches) against the strip of _strip_reaches
 HALFSTRIP_CONTACTS = [
     # a strip side through a triangle vertex only
     ((pt(2, 1), pt(4, 0), pt(4, 2)), False),
@@ -253,22 +204,30 @@ HALFSTRIP_CONTACTS = [
 ]
 
 
+def _strip_reaches(tri) -> bool:
+    """Does the strip swept from base (0,0)-(2,0) away from (1,-1) meet
+    the open triangle tri? Decided on tri turned counterclockwise, once on
+    Fraction pairs and once on int pairs, which must agree."""
+    t0, t1, t2 = tri
+    if orientation(t0, t1, t2) < 0:
+        t1, t2 = t2, t1
+    pairs = [(p.x, p.y) for p in (pt(0, 0), pt(2, 0), pt(1, -1), t0, t1, t2)]
+    verdict = strip_meets_open_triangle(*pairs)
+    ints = [(int(x), int(y)) for x, y in pairs]
+    assert strip_meets_open_triangle(*ints) is verdict
+    return verdict
+
+
 def test_halfstrip_triangle_reach():
-    strip = halfstrip(pt(0, 0), pt(2, 0), pt(1, -1))
     inside = (pt(0, 1), pt(3, 1), pt(1, 3))
-    assert halfstrip_reaches_triangle_interior(strip, inside)
     # triangle touching the strip only along its right wall: no interior point
     wall = (pt(2, 1), pt(4, 1), pt(2, 3))
-    assert not halfstrip_reaches_triangle_interior(strip, wall)
     # entirely on the away side
     below = (pt(0, -1), pt(2, -1), pt(1, -3))
-    assert not halfstrip_reaches_triangle_interior(strip, below)
-    with pytest.raises(ValueError):
-        halfstrip_reaches_triangle_interior(strip, (pt(0, 0), pt(1, 1), pt(2, 2)))
-    for tri, reaches in HALFSTRIP_CONTACTS:
-        assert halfstrip_reaches_triangle_interior(strip, tri) is reaches, tri
-        assert halfstrip_reaches_triangle_interior(strip, tri[::-1]) is \
-            reaches, tri
+    cases = [(inside, True), (wall, False), (below, False)]
+    for tri, reaches in cases + HALFSTRIP_CONTACTS:
+        assert _strip_reaches(tri) is reaches, tri
+        assert _strip_reaches(tri[::-1]) is reaches, tri
 
 
 def test_polygon_validation():
