@@ -52,6 +52,18 @@ class ConflictWitness:
     hit: Point
 
 
+def _misses_slab(s0, s1, dd) -> bool:
+    """Does f stay outside the open slab of e, given slab_projections of
+    f onto e, on Points or on LatticePoints?
+
+    Without an outward cut this is exactly when _slab_witness finds no
+    witness: the projections sweep [min(s0, s1), max(s0, s1)], which
+    meets (0, dd) in an interval of positive length iff s0 and s1 are
+    not both <= 0 and not both >= dd.
+    """
+    return (s0 <= 0 and s1 <= 0) or (s0 >= dd and s1 >= dd)
+
+
 def _slab_witness(ea: Point, eb: Point, seg: Segment,
                   outward: Optional[Point]) -> Optional[tuple[Point, Point]]:
     """Shared core of the two conflict tests.
@@ -63,7 +75,7 @@ def _slab_witness(ea: Point, eb: Point, seg: Segment,
     root; it is feasible iff lo < hi, and hit is its midpoint.
     """
     s0, s1, dd = slab_projections(ea, eb, seg.a, seg.b)
-    if (s0 <= 0 and s1 <= 0) or (s0 >= dd and s1 >= dd):
+    if _misses_slab(s0, s1, dd):
         return None
     lo, hi = Fraction(0), Fraction(1)
     if s0 != s1:
@@ -86,23 +98,41 @@ def _slab_witness(ea: Point, eb: Point, seg: Segment,
     return foot, hit
 
 
+def _lattice_conflict(d: Drawing, e: int, f: int) -> Optional[bool]:
+    """True when edges e and f conflict, else None, decided on d.lattice
+    with no witness built; indices are not checked."""
+    lat, edges = d.lattice, d.edges
+    u, v = edges[e]
+    a, b = edges[f]
+    if _misses_slab(*slab_projections(lat[u], lat[v], lat[a], lat[b])):
+        return None
+    return True
+
+
 def drawing_edges_conflict(d: Drawing, e: int, f: int) -> Optional[ConflictWitness]:
-    """Does a normal line at an interior point of edge e meet edge f?"""
+    """Does a normal line at an interior point of edge e meet edge f?
+
+    Decided on the drawing's integer lattice; the witness is built from
+    the Fraction points only on a hit.
+    """
     m = d.n_edges
     for idx in (e, f):
         if not 0 <= idx < m:
             raise UnknownEdgeError(f"edge index {idx} out of range")
     if e == f:
         raise ValueError("conflict test needs two distinct edges")
+    if _lattice_conflict(d, e, f) is None:
+        return None
     se = d.segment(e)
-    res = _slab_witness(se.a, se.b, d.segment(f), None)
-    return None if res is None else ConflictWitness(e, f, *res)
+    foot, hit = _slab_witness(se.a, se.b, d.segment(f), None)
+    return ConflictWitness(e, f, foot, hit)
 
 
 def first_conflict(conflict, obj, indices) -> Optional[tuple]:
     """The first (i, j, witness) over ordered pairs of distinct indices,
     row by row, where witness = conflict(obj, i, j) is not None; else None.
-    conflict is drawing_edges_conflict or polygon_edges_conflict."""
+    conflict is drawing_edges_conflict, polygon_edges_conflict or the
+    witness-free _lattice_conflict."""
     tests = ((i, j, conflict(obj, i, j))
              for i in indices for j in indices if i != j)
     return next((t for t in tests if t[2] is not None), None)
@@ -122,12 +152,20 @@ def conflicting_pairs(d: Drawing) -> tuple[tuple[int, int], ...]:
 def polygon_edges_conflict(poly: Polygon, e: int, f: int
                            ) -> Optional[ConflictWitness]:
     """Does an outward normal ray at an interior point of boundary edge e
-    meet boundary edge f?"""
+    meet boundary edge f?
+
+    Edges that miss the open slab are rejected on the polygon's integer
+    lattice; the outward clip runs on the Fraction points.
+    """
     for idx in (e, f):
         if not 0 <= idx < poly.n:
             raise UnknownEdgeError(f"boundary edge index {idx} out of range")
     if e == f:
         raise ValueError("conflict test needs two distinct edges")
+    lat, n = poly.lattice, poly.n
+    if _misses_slab(*slab_projections(lat[e], lat[(e + 1) % n],
+                                      lat[f], lat[(f + 1) % n])):
+        return None
     se = poly.edge(e)
     dirv = se.direction()
     outward = Point(dirv.y, -dirv.x)  # right of a ccw boundary edge
@@ -162,7 +200,7 @@ def _strips_reach(tp, i: int, j: int) -> bool:
     p, q, r = tp.triangles[i]
     a, b, c = ((q, r, p) if p not in nxt else (r, p, q) if q not in nxt
                else (p, q, r))
-    lat = tp.lattice
+    lat = tp.polygon.lattice
     pa, pb, pc = lat[a], lat[b], lat[c]
     t0, t1, t2 = (lat[v] for v in tp.triangles[j])
     return (strip_meets_open_triangle(pb, pc, pa, t0, t1, t2)
@@ -237,7 +275,7 @@ def tree_increasing_chord(d: Drawing, edge_subset) -> bool:
             d.other_endpoint(idx, v) for idx in d.adjacency[v]
             if idx in sset])) != 1:
         return False
-    return first_conflict(drawing_edges_conflict, d, subset) is None
+    return first_conflict(_lattice_conflict, d, subset) is None
 
 
 # -- path families around a shared origin --------------------------------------

@@ -16,17 +16,26 @@ from .errors import (
     UnknownVertexError,
     ZeroLengthEdgeError,
 )
-from .geometry import Point, Segment, cross, improper_contact, slab_projections
+from .geometry import (
+    Point,
+    Segment,
+    cross,
+    improper_contact,
+    lattice,
+    slab_projections,
+)
 
 
 class Drawing:
     """A validated straight-line drawing.
 
     Construct through validate_drawing; the raw constructor trusts its
-    input and only builds the derived lookup tables.
+    input and only builds the derived lookup tables. lattice maps each
+    vertex id to its point on the drawing's integer lattice
+    (geometry.lattice).
     """
 
-    __slots__ = ("vertex_ids", "points", "edges", "adjacency")
+    __slots__ = ("vertex_ids", "points", "edges", "adjacency", "lattice")
 
     def __init__(self, vertices: Sequence[tuple[int, Point]],
                  edges: Sequence[tuple[int, int]]):
@@ -39,6 +48,8 @@ class Drawing:
             adjacency[u].append(idx)
             adjacency[v].append(idx)
         self.adjacency = {vid: tuple(lst) for vid, lst in adjacency.items()}
+        self.lattice = dict(zip(self.vertex_ids, lattice(
+            self.points[vid] for vid in self.vertex_ids)))
 
     def point(self, vid: int) -> Point:
         return self.points[vid]

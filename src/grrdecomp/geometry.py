@@ -3,12 +3,16 @@
 Every coordinate is a fractions.Fraction and every predicate is decided
 exactly; nothing in this module touches floating point. Floats are
 rejected at construction time so binary rounding can never leak in.
+Drawings and polygons also keep their vertices on an integer lattice
+(lattice()); dot, cross, slab_projections, hp, in_hp and
+strip_meets_open_triangle run unchanged on either form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import lcm
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import NotCounterclockwiseError, NotSimplePolygonError
 
@@ -58,6 +62,32 @@ class Point:
 def pt(x: Coord, y: Coord) -> Point:
     """Build a Point, coercing each coordinate with frac()."""
     return Point(frac(x), frac(y))
+
+
+class LatticePoint(NamedTuple):
+    """A point of the integer lattice that lattice() maps a point set to.
+
+    It has .x, .y, indexing and -, so dot, cross, slab_projections, hp
+    and in_hp run on it unchanged; + and * stay tuple operations.
+    """
+    x: int
+    y: int
+
+    def __sub__(self, other: "LatticePoint") -> "LatticePoint":
+        return LatticePoint(self.x - other.x, self.y - other.y)
+
+
+def lattice(points: Iterable[Point]) -> tuple[LatticePoint, ...]:
+    """The points scaled by the LCM of their coordinate denominators.
+
+    Scaling by one positive factor keeps every orientation sign and every
+    comparison of dot products, which is all the predicates decide on.
+    """
+    pts = tuple(points)
+    scale = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
+    return tuple(LatticePoint(p.x.numerator * (scale // p.x.denominator),
+                              p.y.numerator * (scale // p.y.denominator))
+                 for p in pts)
 
 
 def dot(a: Point, b: Point) -> Fraction:
@@ -209,7 +239,8 @@ def improper_contact(segs: Sequence[Segment]):
 
 @dataclass(frozen=True, slots=True)
 class Halfplane:
-    """Points r with dot(r, n) >= c.
+    """Points r with dot(r, n) >= c; n and r are both Points or both
+    LatticePoints.
 
     hp(p, q) builds the halfplane beyond q, looking from p: n = q - p and
     c = dot(q, n), so membership, dot(r - q, q - p) >= 0, costs one dot
@@ -268,9 +299,12 @@ def strip_meets_open_triangle(a, b, c, t0, t1, t2) -> bool:
 # -- polygons -----------------------------------------------------------------
 
 class Polygon:
-    """Simple polygon with counterclockwise boundary, validated on build."""
+    """Simple polygon with counterclockwise boundary, validated on build.
 
-    __slots__ = ("points", "n")
+    lattice holds the vertices on one integer lattice, in boundary order.
+    """
+
+    __slots__ = ("points", "n", "lattice")
 
     def __init__(self, points: Iterable[Point]):
         pts = tuple(points)
@@ -290,6 +324,7 @@ class Polygon:
         if area2 <= 0:
             raise NotCounterclockwiseError(
                 "polygon boundary must be counterclockwise")
+        self.lattice = lattice(pts)
 
     def edge(self, i: int) -> Segment:
         return Segment(self.points[i], self.points[(i + 1) % self.n])

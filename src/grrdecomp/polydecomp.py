@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 
 from .analysis import polygon_is_grr, triangles_conflict
 from .drawing import components
@@ -33,24 +32,22 @@ class TriangulatedPolygon:
     canonicalized so ids are stable; the dual graph has one node per
     triangle and one edge per diagonal, and is always a tree.
 
-    lattice holds the vertices as integer pairs, scaled by the LCM of
-    the coordinate denominators; it keeps every orientation sign, which
-    is all the triangle conflict test reads. parent and depth root the
-    dual tree at triangle 0 (the root's parent is None).
+    The triangle conflict test reads only orientation signs, on the
+    polygon's integer lattice. parent and depth root the dual tree at
+    triangle 0 (the root's parent is None).
     """
 
     __slots__ = ("polygon", "diagonals", "triangles", "dual_edges",
-                 "dual_adjacency", "_diag_of", "lattice", "parent", "depth")
+                 "dual_adjacency", "_diag_of", "parent", "depth")
 
     def __init__(self, polygon: Polygon, diagonals, triangles, dual_edges,
-                 dual_adjacency, diag_of, lattice, parent, depth):
+                 dual_adjacency, diag_of, parent, depth):
         self.polygon = polygon
         self.diagonals = diagonals
         self.triangles = triangles
         self.dual_edges = dual_edges
         self.dual_adjacency = dual_adjacency
         self._diag_of = diag_of
-        self.lattice = lattice
         self.parent = parent
         self.depth = depth
 
@@ -153,14 +150,11 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
                 f"diagonal {canon[j - n]} meets boundary edge {i}")
         raise CrossingDiagonalsError(
             f"diagonals {canon[i - n]} and {canon[j - n]} cross")
-    scale = lcm(*(c.denominator for p in pts for c in (p.x, p.y)))
-    lattice = tuple((p.x.numerator * (scale // p.x.denominator),
-                     p.y.numerator * (scale // p.y.denominator)) for p in pts)
     # no open diagonal touches the boundary, so each lies wholly inside
     # or wholly outside: inside iff it leaves its first endpoint into the
     # interior angle there
     for d in canon:
-        if not _in_cone(lattice, d[0], d[1]):
+        if not _in_cone(polygon.lattice, d[0], d[1]):
             raise CrossingDiagonalsError(f"diagonal {d} leaves the polygon")
 
     raw = _split_triangles(list(range(n)), frozenset(canon))
@@ -210,7 +204,6 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
         dual_edges=tuple(sorted(dual_edges)),
         dual_adjacency={i: tuple(sorted(v)) for i, v in adj.items()},
         diag_of=diag_of,
-        lattice=lattice,
         parent=tuple(parent),
         depth=tuple(depth))
 

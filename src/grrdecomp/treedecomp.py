@@ -43,15 +43,22 @@ CONTACT_MODES = ("proper", "noncrossing", "any")
 # -- all-pairs increasing-chord paths ------------------------------------------
 
 class PathICTable:
-    """O(1) lookups of "is the unique tree path s-t increasing-chord"."""
+    """O(1) lookups of "is the unique tree path s-t increasing-chord".
+
+    Row s is the set of targets t with IC(s, t); a vertex not in the
+    drawing raises KeyError.
+    """
 
     __slots__ = ("_table",)
 
-    def __init__(self, table: dict[int, dict[int, bool]]):
+    def __init__(self, table: dict[int, set[int]]):
         self._table = table
 
     def query(self, s: int, t: int) -> bool:
-        return self._table[s][t]
+        row = self._table[s]
+        if t not in self._table:
+            raise KeyError(t)
+        return t in row
 
 
 def precompute_path_ic(rt: RootedTree) -> PathICTable:
@@ -67,31 +74,36 @@ def precompute_path_ic(rt: RootedTree) -> PathICTable:
         IC(s, t) = IC(s, t-) and IC(s+, t)
                    and t in hp(s, s+) and s in hp(t, t-).
 
-    Adjacent pairs and IC(v, v) are True. Row s is filled by one walk
-    away from s per neighbour s+, which reaches t right after t-, so
-    IC(s, t-) is already known. Sources in postorder first walk down
-    into each child's subtree: row s+ was filled there by the child's
-    own downward walks. Then sources in reversed postorder walk out
-    through their parent, whose row is by then full. The walks hold
-    O(n) frames, and the 2(n-1) directed-edge halfplanes are built once.
+    Adjacent pairs and IC(v, v) are True. Row s is the set of targets t
+    with IC(s, t), filled by one walk away from s per neighbour s+,
+    which reaches t right after t-, so IC(s, t-) is already known. When
+    IC(s, t) is false the walk stops there: every t' beyond t needs
+    IC(s, t'-) and is false too, so a row holds only its true targets
+    and the walk visits nothing else. Sources in postorder first walk
+    down into each child's subtree: row s+ was filled there by the
+    child's own downward walks. Then sources in reversed postorder walk
+    out through their parent, whose row is by then full. The walks hold
+    O(n) frames, and the 2(n-1) directed-edge halfplanes are built once,
+    on the drawing's integer lattice.
     """
     d = rt.drawing
-    pts = d.points
+    lat = d.lattice
     nbrs = {v: [d.other_endpoint(e, v) for e in d.adjacency[v]]
             for v in d.vertex_ids}
-    halfplanes = {(a, b): hp(pts[a], pts[b]) for a in nbrs for b in nbrs[a]}
-    table: dict[int, dict[int, bool]] = {v: {v: True} for v in d.vertex_ids}
+    halfplanes = {(a, b): hp(lat[a], lat[b]) for a in nbrs for b in nbrs[a]}
+    table: dict[int, set[int]] = {v: {v} for v in d.vertex_ids}
 
     def walk(s: int, first: int) -> None:
         row, ahead = table[s], table[first]
-        ps, h_first = pts[s], halfplanes[(s, first)]
-        row[first] = True
+        ps, h_first = lat[s], halfplanes[(s, first)]
+        row.add(first)
         stack = [(w, first) for w in nbrs[first] if w != s]
         while stack:
             t, prev = stack.pop()
-            row[t] = (row[prev] and ahead[t] and in_hp(h_first, pts[t])
-                      and in_hp(halfplanes[(t, prev)], ps))
-            stack.extend((w, t) for w in nbrs[t] if w != prev)
+            if (t in ahead and in_hp(h_first, lat[t])
+                    and in_hp(halfplanes[(t, prev)], ps)):
+                row.add(t)
+                stack.extend((w, t) for w in nbrs[t] if w != prev)
 
     for s in rt.postorder:
         for c in rt.children[s]:
@@ -184,21 +196,26 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
             problems.append(f"component {ci} has conflicting edges "
                             f"{found[0]} and {found[1]}")
 
+    # the components at each vertex, in index order, and the points
+    # each pair of components shares: work linear in the contacts
+    at: dict[int, list[int]] = {}
+    for ci, vs in enumerate(vsets):
+        for v in vs:
+            at.setdefault(v, []).append(ci)
+    common: dict[tuple[int, int], list[int]] = {}
+    for v, cis in at.items():
+        for k, ci in enumerate(cis):
+            for cj in cis[k + 1:]:
+                common.setdefault((ci, cj), []).append(v)
     single = True
-    for ci in range(len(comps)):
-        for cj in range(ci + 1, len(comps)):
-            inter = vsets[ci] & vsets[cj]
-            if len(inter) > 1:
-                single = False
-                problems.append(
-                    f"components {ci} and {cj} share points {sorted(inter)}")
+    for (ci, cj), inter in sorted(common.items()):
+        if len(inter) > 1:
+            single = False
+            problems.append(
+                f"components {ci} and {cj} share points {sorted(inter)}")
 
     contacts = True
-    shared: dict[int, set[int]] = {}
-    for v in d.vertex_ids:
-        at_v = {ci for ci, vs in enumerate(vsets) if v in vs}
-        if len(at_v) > 1:
-            shared[v] = at_v
+    shared = {v: set(cis) for v, cis in at.items() if len(cis) > 1}
     if p.contact_mode == "proper":
         for v in sorted(shared):
             heavy = [ci for ci in sorted(shared[v])
@@ -296,7 +313,7 @@ def _join(ic: dict, parts, apart: tuple, out: dict) -> None:
             for key, ent in part:
                 x, y = key
                 for row in rows:
-                    if not (row[x] and row[y]):
+                    if x not in row or y not in row:
                         break
                 else:
                     grown.append((first, key, rows, val + ent[0],
@@ -334,7 +351,7 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
         # degree-four join needs every two of its arms to be such a pair,
         # so the joins of other arms are skipped
         fits = {(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)
-                if any(ic[x][y] for (x, _), _ in paths[i - 1]
+                if any(y in ic[x] for (x, _), _ in paths[i - 1]
                        for (y, _), _ in paths[j - 1])}
         sd: dict[int, dict] = {1: {}, 2: {}, 3: {}, 4: {}}
         sorted2: dict = {}
@@ -421,7 +438,7 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                 val = left[0] + ent[0] + right[0]
                 x, y = key
                 cur = tu.get(key)
-                if row[x] and row[y] and (cur is None or val < cur[0]):
+                if x in row and y in row and (cur is None or val < cur[0]):
                     tu[key] = (val, (pe, (ent,), (left, right)))
                 if alone is None or val < alone[0]:
                     alone = (val, (left, ent, right))
@@ -472,6 +489,7 @@ def min_gtd_exact(rt: RootedTree, mode: str) -> Partition:
     v0 = rt.children[rt.root][0]
     size, key = tables.tau_best[v0]
     comps = _components_of(tables.tau[v0][key])
+    del tables  # validation reads no table: free them before it
     if len(comps) != size:
         raise GRRError(
             f"reconstruction produced {len(comps)} components, "

@@ -17,6 +17,7 @@ from grrdecomp import fixtures as fx
 from grrdecomp.analysis import (
     clockwise_between,
     four_path_union_ic,
+    path_increasing_chord,
     tree_increasing_chord,
 )
 from grrdecomp.drawing import (
@@ -45,6 +46,7 @@ from grrdecomp.treedecomp import (
     approx_gtd_proper,
     min_gtd_exact,
     min_gtd_with_splits,
+    precompute_path_ic,
 )
 
 
@@ -116,6 +118,21 @@ def tree_path_points(d, edge_subset, a, b):
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     return [d.points[v] for v in reversed(path)]
+
+
+def assert_table_matches_direct_predicate(d, label=""):
+    """The path-IC table of d, rooted at its default root, agrees with
+    path_increasing_chord on the tree path of every vertex pair."""
+    table = precompute_path_ic(root_tree(d, default_root(d)))
+    all_edges = range(d.n_edges)
+    for s in d.vertex_ids:
+        assert table.query(s, s), (label, s)
+        for t in d.vertex_ids:
+            if s < t:
+                want = path_increasing_chord(
+                    tree_path_points(d, all_edges, s, t))
+                assert table.query(s, t) == want, (label, s, t)
+                assert table.query(t, s) == want, (label, t, s)
 
 
 def witness_defects(seg_e, seg_f, w):

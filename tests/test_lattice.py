@@ -1,0 +1,150 @@
+"""Integer-lattice predicates against the same predicates on Fractions.
+
+Drawings and polygons decide edge conflicts, and drawings the path-IC
+halfplanes, on one integer lattice (geometry.lattice). These properties
+check every verdict and witness against the Fraction computation, on
+point sets with mixed denominators, collinear and parallel edges and
+numerators up to 10**30. Hypothesis runs derandomized with a fixed
+number of examples, so the suite stays reproducible.
+"""
+import functools
+from fractions import Fraction
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import assert_table_matches_direct_predicate
+from grrdecomp.analysis import (
+    ConflictWitness,
+    _slab_witness,
+    drawing_edges_conflict,
+    polygon_edges_conflict,
+)
+from grrdecomp.drawing import Drawing
+from grrdecomp.errors import GRRError
+from grrdecomp.geometry import LatticePoint, Point, Polygon, lattice
+
+BIG = 10 ** 30
+DENOMS = (1, 2, 3, 7, 12, 997, 10 ** 6 + 3, 2 ** 61 - 1)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.filter_too_much])
+
+
+def ratio(draw, bound):
+    return Fraction(draw(st.integers(-bound, bound)),
+                    draw(st.sampled_from(DENOMS)))
+
+
+@st.composite
+def point_sets(draw, min_size=3, max_size=7):
+    """Distinct points. Each new point is free, on a small grid scaled by
+    a large ratio, on the line of two earlier points, or the end of a
+    segment parallel to one between earlier points; a repeat moves right
+    of every earlier point."""
+    unit = Fraction(draw(st.integers(1, BIG)), draw(st.sampled_from(DENOMS)))
+    pts: list[Point] = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        kind = draw(st.sampled_from(
+            ("free", "grid", "grid", "line", "parallel") if len(pts) >= 2
+            else ("free", "grid")))
+        if kind == "free":
+            q = Point(ratio(draw, BIG), ratio(draw, BIG))
+        elif kind == "grid":
+            q = Point(unit * draw(st.integers(-3, 3)),
+                      unit * draw(st.integers(-3, 3)))
+        else:
+            a, b, c = (pts[draw(st.integers(0, len(pts) - 1))]
+                       for _ in range(3))
+            base = a if kind == "line" else c
+            q = base + (b - a) * ratio(draw, 5)
+        if q in pts:
+            q = Point(max(p.x for p in pts) + unit, q.y)
+        pts.append(q)
+    return pts
+
+
+def fraction_witness(ea, eb, f, outward, e_idx, f_idx):
+    res = _slab_witness(ea, eb, f, outward)
+    return None if res is None else ConflictWitness(e_idx, f_idx, *res)
+
+
+def test_lattice_scales_by_the_lcm_of_the_denominators():
+    pts = [Point(Fraction(1, 6), Fraction(-3, 4)),
+           Point(Fraction(5), Fraction(2, 9))]
+    assert lattice(pts) == ((6, -27), (180, 8))
+    a, b = lattice(pts)
+    assert isinstance(a, LatticePoint) and (a.x, a.y) == (a[0], a[1])
+    assert b - a == LatticePoint(174, 35)
+
+
+@PROPERTY
+@given(point_sets())
+def test_drawing_conflicts_match_fraction_witnesses(pts):
+    # every segment between two of the points is an edge; the raw
+    # constructor takes crossing and overlapping edges too
+    n = len(pts)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    d = Drawing(list(enumerate(pts)), edges)
+    segs = [d.segment(e) for e in range(len(edges))]
+    for e, se in enumerate(segs):
+        for f, sf in enumerate(segs):
+            if e != f:
+                assert drawing_edges_conflict(d, e, f) == fraction_witness(
+                    se.a, se.b, sf, None, e, f), (e, f)
+
+
+def star_polygon(pts):
+    """The points in angular order around their centroid, as a polygon,
+    or None when two share a direction or the boundary is not simple."""
+    cx = sum(p.x for p in pts) / len(pts)
+    cy = sum(p.y for p in pts) / len(pts)
+    rel = [(p.x - cx, p.y - cy, p) for p in pts]
+
+    def cmp(u, v):
+        hu, hv = (u[1] < 0 or (u[1] == 0 and u[0] < 0),
+                  v[1] < 0 or (v[1] == 0 and v[0] < 0))
+        if hu != hv:
+            return -1 if hu < hv else 1
+        c = u[0] * v[1] - u[1] * v[0]
+        return -1 if c > 0 else 1 if c < 0 else 0
+
+    ordered = sorted(rel, key=functools.cmp_to_key(cmp))
+    if any(cmp(u, v) == 0 for u, v in zip(ordered, ordered[1:])):
+        return None
+    try:
+        return Polygon(p for _, _, p in ordered)
+    except GRRError:
+        return None
+
+
+@PROPERTY
+@given(point_sets(min_size=4, max_size=9))
+def test_polygon_conflicts_match_fraction_witnesses(pts):
+    poly = star_polygon(pts)
+    assume(poly is not None)
+    for e in range(poly.n):
+        se = poly.edge(e)
+        de = se.direction()
+        outward = Point(de.y, -de.x)
+        for f in range(poly.n):
+            if e != f:
+                assert polygon_edges_conflict(poly, e, f) == fraction_witness(
+                    se.a, se.b, poly.edge(f), outward, e, f), (e, f)
+
+
+@st.composite
+def tree_drawings(draw):
+    """A random tree on point_sets: each point hangs from an earlier one.
+    Edges may cross; the path-IC table does not read planarity."""
+    pts = draw(point_sets(min_size=2, max_size=9))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, len(pts))]
+    return Drawing(list(enumerate(pts)), edges)
+
+
+@PROPERTY
+@given(tree_drawings())
+def test_path_table_matches_direct_predicate_on_lattice_trees(d):
+    assert_table_matches_direct_predicate(d, "lattice")

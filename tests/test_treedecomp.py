@@ -5,8 +5,11 @@ import random
 import pytest
 
 import grrdecomp.treedecomp as treedecomp
-from conftest import tree_fixture_drawings, tree_path_points
-from grrdecomp.analysis import path_increasing_chord
+from conftest import (
+    assert_table_matches_direct_predicate,
+    tree_fixture_drawings,
+)
+from grrdecomp.analysis import conflicting_pairs
 from grrdecomp.drawing import (
     default_root,
     root_tree,
@@ -20,7 +23,7 @@ from grrdecomp.fixtures import (
     plus_drawing,
     star4_cross,
 )
-from grrdecomp.geometry import pt
+from grrdecomp.geometry import Point, pt
 from grrdecomp.multicut import is_multicut
 from grrdecomp.oracle import random_tree_drawing
 from grrdecomp.treedecomp import (
@@ -46,19 +49,6 @@ def rooted(d):
 
 
 # -- all-pairs path table ----------------------------------------------------------
-
-
-def assert_table_matches_direct_predicate(d, label=""):
-    table = precompute_path_ic(rooted(d))
-    all_edges = range(d.n_edges)
-    for s in d.vertex_ids:
-        assert table.query(s, s), (label, s)
-        for t in d.vertex_ids:
-            if s < t:
-                want = path_increasing_chord(
-                    tree_path_points(d, all_edges, s, t))
-                assert table.query(s, t) == want, (label, s, t)
-                assert table.query(t, s) == want, (label, t, s)
 
 
 def path_drawing(points):
@@ -166,6 +156,45 @@ def test_path_table_makes_at_most_two_halfplane_tests_per_pair(monkeypatch):
     assert table.query(0, n - 1) and table.query(n - 1, 0)
 
 
+def test_path_table_rows_hold_only_true_targets():
+    # every two-edge sawtooth subpath conflicts, so a row holds its own
+    # vertex and at most two neighbours
+    d = sawtooth(random.Random(360), 360)
+    n = d.n_vertices
+    table = precompute_path_ic(rooted(d))
+    assert sum(len(row) for row in table._table.values()) <= 3 * n
+    assert table.query(0, 1) and not table.query(0, 2)
+    assert not table.query(0, n - 1)
+
+
+def test_path_table_query_rejects_unknown_vertices():
+    d = zigzag(random.Random(5), 4)
+    table = precompute_path_ic(rooted(d))
+    for s, t in ((0, 99), (99, 0), (-1, -1)):
+        with pytest.raises(KeyError):
+            table.query(s, t)
+
+
+@pytest.mark.parametrize("n_edges", [22, 200])
+def test_conflict_free_checks_build_no_points(monkeypatch, n_edges):
+    # both scans decide every pair on the drawing's lattice; a Point
+    # would only be built for a witness, and this zigzag has none
+    calls = 0
+    real = Point.__post_init__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        real(self)
+
+    d = zigzag(random.Random(n_edges), n_edges)
+    whole = Partition((frozenset(range(n_edges)),), "proper")
+    monkeypatch.setattr(Point, "__post_init__", counting)
+    assert conflicting_pairs(d) == ()
+    assert validate_partition(d, whole).ok
+    assert calls == 0
+
+
 # -- partition validation -----------------------------------------------------------
 
 
@@ -223,6 +252,18 @@ def test_validator_flags_two_point_contact():
         [(0, 1), (1, 2), (2, 3), (3, 0)])
     report = validate_partition(sq, Partition(comps({0, 1}, {2, 3}), "proper"))
     assert failing_checks(report) == ["single-shared-point"]
+    assert report.problems == ("components 0 and 1 share points [0, 2]",)
+    # a hexagon with the chord 0-3: the two halves and the chord meet
+    # pairwise in vertices 0 and 3, reported pair by pair
+    hexagon = validate_drawing(
+        list(enumerate(pt(x, y) for x, y in
+                       ((2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)))),
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    report = validate_partition(
+        hexagon, Partition(comps({6}, {0, 1, 2}, {3, 4, 5}), "noncrossing"))
+    assert [q for q in report.problems if "share" in q] == [
+        f"components {i} and {j} share points [0, 3]"
+        for i, j in ((0, 1), (0, 2), (1, 2))]
 
 
 def test_validator_contact_modes_differ_on_plus_halves():
