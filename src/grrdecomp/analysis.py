@@ -51,6 +51,25 @@ class ConflictWitness:
     p: Point
     hit: Point
 
+    @classmethod
+    def _on_read(cls, e: int, f: int, clip) -> "ConflictWitness":
+        """A witness whose p and hit are built by clip(), which returns
+        (foot, hit), when either is first read."""
+        w = object.__new__(cls)
+        for name, value in (("e", e), ("f", f), ("_clip", clip)):
+            object.__setattr__(w, name, value)
+        return w
+
+    def __getattr__(self, name: str):
+        # reached only for fields not yet set, so only for p and hit of
+        # a witness from _on_read
+        if name not in ("p", "hit") or "_clip" not in self.__dict__:
+            raise AttributeError(name)
+        p, hit = self.__dict__.pop("_clip")()
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "hit", hit)
+        return self.__dict__[name]
+
 
 def _misses_slab(s0, s1, dd) -> bool:
     """Does f stay outside the open slab of e, given slab_projections of
@@ -112,8 +131,8 @@ def _lattice_conflict(d: Drawing, e: int, f: int) -> Optional[bool]:
 def drawing_edges_conflict(d: Drawing, e: int, f: int) -> Optional[ConflictWitness]:
     """Does a normal line at an interior point of edge e meet edge f?
 
-    Decided on the drawing's integer lattice; the witness is built from
-    the Fraction points only on a hit.
+    Decided on the drawing's integer lattice. On a hit, the witness's
+    points are clipped from the Fraction points when first read.
     """
     m = d.n_edges
     for idx in (e, f):
@@ -123,9 +142,11 @@ def drawing_edges_conflict(d: Drawing, e: int, f: int) -> Optional[ConflictWitne
         raise ValueError("conflict test needs two distinct edges")
     if _lattice_conflict(d, e, f) is None:
         return None
-    se = d.segment(e)
-    foot, hit = _slab_witness(se.a, se.b, d.segment(f), None)
-    return ConflictWitness(e, f, foot, hit)
+
+    def clip():
+        se = d.segment(e)
+        return _slab_witness(se.a, se.b, d.segment(f), None)
+    return ConflictWitness._on_read(e, f, clip)
 
 
 def first_conflict(conflict, obj, indices) -> Optional[tuple]:

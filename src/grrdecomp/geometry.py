@@ -186,19 +186,43 @@ def segment_intersection(s1: Segment, s2: Segment):
     return Segment(s1.at(lo), s1.at(hi))
 
 
-def _improper_pair(s: Segment, t: Segment) -> bool:
-    """Do s and t meet other than in one common endpoint?
+def _in_box(p, a, b) -> bool:
+    """Is p in the closed bounding box of a and b?"""
+    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
 
-    With one common endpoint p and other endpoints u, v they overlap iff
-    cross(u - p, v - p) == 0 and dot(u - p, v - p) > 0; two common
-    endpoints make the same segment.
+
+def _improper_pair(a, b, c, d) -> bool:
+    """Do the closed segments a-b and c-d meet other than in one common
+    endpoint?
+
+    The four points are Points or LatticePoints, all of one kind, and
+    each segment has two distinct endpoints. With one common endpoint p
+    and other endpoints u, v they overlap iff cross(u - p, v - p) == 0
+    and dot(u - p, v - p) > 0; two common endpoints make the same
+    segment. Without one, four orientation signs decide a crossing, and
+    an endpoint on the other segment's line meets it iff it lies in that
+    segment's closed bounding box.
     """
-    a, b, c, d = s.a, s.b, t.a, t.b
     p = a if a in (c, d) else b if b in (c, d) else None
-    if p is None:
-        return segment_intersection(s, t) is not None
-    u, v = (b if p is a else a) - p, (d if p == c else c) - p
-    return u == v or (cross(u, v) == 0 and dot(u, v) > 0)
+    if p is not None:
+        u, v = (b if p is a else a) - p, (d if p == c else c) - p
+        return u == v or (cross(u, v) == 0 and dot(u, v) > 0)
+    ex, ey = b.x - a.x, b.y - a.y
+    o1 = ex * (c.y - a.y) - ey * (c.x - a.x)
+    o2 = ex * (d.y - a.y) - ey * (d.x - a.x)
+    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+        return False
+    fx, fy = d.x - c.x, d.y - c.y
+    o3 = fx * (a.y - c.y) - fy * (a.x - c.x)
+    o4 = fx * (b.y - c.y) - fy * (b.x - c.x)
+    if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
+        return False
+    if o1 and o2 and o3 and o4:
+        return True  # each segment's endpoints lie strictly apart
+    return ((o1 == 0 and _in_box(c, a, b)) or (o2 == 0 and _in_box(d, a, b))
+            or (o3 == 0 and _in_box(a, c, d))
+            or (o4 == 0 and _in_box(b, c, d)))
 
 
 def improper_contact(segs: Sequence[Segment]):
@@ -207,15 +231,19 @@ def improper_contact(segs: Sequence[Segment]):
     Returns None, or (i, j, meet) for the smallest index pair i < j at
     fault, where meet is segment_intersection(segs[i], segs[j]): the
     crossing Point or the overlap Segment. Every segment must have two
-    distinct endpoints. A sweep over the left ends visits only pairs
-    whose closed x-ranges overlap, and decides a pair with
-    _improper_pair only if their closed y-ranges overlap too.
+    distinct endpoints. The endpoints are scaled onto one integer
+    lattice. A sweep over the left ends visits only pairs whose closed
+    x-ranges overlap, and decides a pair with _improper_pair only if
+    their closed y-ranges overlap too; segment_intersection runs only on
+    the pair at fault.
     """
     n = len(segs)
-    lo = [min(s.a.x, s.b.x) for s in segs]
-    hi = [max(s.a.x, s.b.x) for s in segs]
-    ylo = [min(s.a.y, s.b.y) for s in segs]
-    yhi = [max(s.a.y, s.b.y) for s in segs]
+    lat = lattice(q for s in segs for q in (s.a, s.b))
+    ends = [lat[2 * i:2 * i + 2] for i in range(n)]
+    lo = [min(a.x, b.x) for a, b in ends]
+    hi = [max(a.x, b.x) for a, b in ends]
+    ylo = [min(a.y, b.y) for a, b in ends]
+    yhi = [max(a.y, b.y) for a, b in ends]
     order = sorted(range(n), key=lo.__getitem__)
     best = None
     for k in range(n):
@@ -225,7 +253,7 @@ def improper_contact(segs: Sequence[Segment]):
             if lo[j] > hi[i]:
                 break
             if (ylo[j] > yhi[i] or ylo[i] > yhi[j]
-                    or not _improper_pair(segs[i], segs[j])):
+                    or not _improper_pair(*ends[i], *ends[j])):
                 continue
             pair = (min(i, j), max(i, j))
             best = min(best, pair) if best else pair

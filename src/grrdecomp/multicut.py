@@ -218,20 +218,28 @@ def approx_gvy(inst: MulticutInstance) -> Cut:
     Terminal pairs are processed by non-increasing depth of their lowest
     common ancestor; unseparated pairs raise their dual variable until
     edges on their path saturate, and all newly saturated edges join the
-    cut. A reverse-delete pass restores minimality.
+    cut. A reverse-delete pass restores minimality. Each pair's path is
+    walked once: every edge keeps the pairs through it and every pair the
+    count of its cut edges, so the cut, a multicut after the first pass,
+    can lose an edge iff every pair through it has another cut edge.
     """
     pairs = inst.terminal_pairs
     lcas = [inst.lca(s, t) for s, t in pairs]
     order = sorted(range(len(pairs)),
                    key=lambda k: (-inst._depth[lcas[k]], lcas[k], pairs[k]))
+    paths = [inst.path_edges(s, t) for s, t in pairs]
+    through: list[list[int]] = [[] for _ in range(inst.n_edges)]
+    for k, path in enumerate(paths):
+        for e in path:
+            through[e].append(k)
+    cuts = [0] * len(pairs)
     load = [Fraction(0)] * inst.n_edges
     added: list[int] = []
     in_cut: set[int] = set()
     for k in order:
-        s, t = pairs[k]
-        path = inst.path_edges(s, t)
-        if any(e in in_cut for e in path):
+        if cuts[k]:
             continue
+        path = paths[k]
         raise_by = min(inst.weights[e] - load[e] for e in path)
         for e in path:
             load[e] += raise_by
@@ -239,9 +247,11 @@ def approx_gvy(inst: MulticutInstance) -> Cut:
             if load[e] == inst.weights[e] and e not in in_cut:
                 in_cut.add(e)
                 added.append(e)
+                for q in through[e]:
+                    cuts[q] += 1
     for e in reversed(added):
-        trial = in_cut - {e}
-        if all(any(x in trial for x in inst.path_edges(s, t))
-               for s, t in inst.terminal_pairs):
-            in_cut = trial
+        if all(cuts[q] >= 2 for q in through[e]):
+            in_cut.remove(e)
+            for q in through[e]:
+                cuts[q] -= 1
     return _make_cut(inst, in_cut)

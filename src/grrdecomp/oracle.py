@@ -268,7 +268,8 @@ def random_tree_drawing(rng: random.Random, n_edges: int,
                 # every placed point is an endpoint of a placed edge, so
                 # a point lying on the new edge is an improper contact
                 seg = Segment(pts[par], q)
-                if not any(_improper_pair(s, seg) for s in segs):
+                if not any(_improper_pair(s.a, s.b, seg.a, seg.b)
+                           for s in segs):
                     pts.append(q)
                     parents.append(par)
                     segs.append(seg)

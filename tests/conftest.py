@@ -27,7 +27,7 @@ from grrdecomp.drawing import (
     validate_drawing,
 )
 from grrdecomp.errors import GRRError, InputError
-from grrdecomp.geometry import Polygon, dot, on_segment, pt, sq_dist
+from grrdecomp.geometry import Point, Polygon, dot, on_segment, pt, sq_dist
 from grrdecomp.multicut import approx_gvy, solve_exact_small
 from grrdecomp.oracle import (
     brute_force_all_modes,
@@ -99,7 +99,50 @@ def strip_tp(cells, rise=0):
     return build_dual_tree(Polygon(points), diagonals)
 
 
+def sun_drawing(rng, n_legs):
+    """A star of n_legs legs around vertex 0; every other leg has a
+    second edge bent a little off its ray. Rounded trigonometry only
+    picks the integer leg directions."""
+    verts = [(0, pt(0, 0))]
+    edges = []
+    for k in range(n_legs):
+        theta = 2 * math.pi * k / n_legs
+        dx, dy = round(100 * math.cos(theta)), round(100 * math.sin(theta))
+        tip = (10 * dx + rng.randint(-10, 10), 10 * dy + rng.randint(-10, 10))
+        verts.append((len(verts), pt(*tip)))
+        edges.append((0, len(verts) - 1))
+        if k % 2:
+            bend = rng.randint(-1, 1)
+            end = (tip[0] + 5 * dx - bend * dy // 2,
+                   tip[1] + 5 * dy + bend * dx // 2)
+            verts.append((len(verts), pt(*end)))
+            edges.append((len(verts) - 2, len(verts) - 1))
+    return validate_drawing(verts, edges)
+
+
 # -- generic helpers -----------------------------------------------------------
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count calls from now to the end of the test: count_calls(owner,
+    name, *modules) wraps owner.name, and the same function wherever one
+    of modules binds it, and returns a function giving the count so far.
+    count_calls(Point, "__post_init__") counts the Points built."""
+    def start(owner, name, *modules):
+        calls = 0
+        real = getattr(owner, name)
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        for target in (owner, *modules):
+            if getattr(target, name, None) is real:
+                monkeypatch.setattr(target, name, counting)
+        return lambda: calls
+    return start
+
 
 def tree_path_points(d, edge_subset, a, b):
     """Vertex points along the path from a to b inside an edge subset."""

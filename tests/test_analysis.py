@@ -9,11 +9,13 @@ import pytest
 
 from conftest import (
     grr_polygon_fixtures,
+    sun_drawing,
     tree_fixture_drawings,
     tree_path_points,
     witness_defects,
 )
 from grrdecomp.analysis import (
+    ConflictWitness,
     _slab_witness,
     clockwise_between,
     conflicting_pairs,
@@ -81,6 +83,28 @@ def test_drawing_conflict_witness_is_sound():
                 if w is not None:
                     assert {w.e, w.f} == {e, f}
                     assert witness_defects(d.segment(w.e), d.segment(w.f), w) == []
+
+
+def test_conflicting_pairs_builds_no_witness_points(count_calls):
+    # a witness's foot and hit are clipped only when first read
+    d = sun_drawing(random.Random(40), 40)
+    built = count_calls(Point, "__post_init__")
+    pairs = conflicting_pairs(d)
+    assert built() == 0
+    assert len(pairs) == 810
+    ws = [w for e in range(d.n_edges) for f in range(d.n_edges) if e != f
+          for w in [drawing_edges_conflict(d, e, f)] if w is not None]
+    assert built() == 0
+    assert len(ws) == 1239
+    # the repr reads p and hit; the digest is the eager witnesses'
+    assert repr(ws[0]) == ("ConflictWitness(e=0, f=1, p=(31412399/63005, "
+                           "250298/63005), hit=(498, 151/2))")
+    assert hashlib.sha256(repr(ws).encode()).hexdigest() == (
+        "5a6bf704c83291f3c192c9aad8e4474af0b80bbc276ea9afdfdb2005a5dd819d")
+    assert built() > 0
+    w = ws[1]
+    assert w == ConflictWitness(w.e, w.f, w.p, w.hit)
+    assert hash(w) == hash(ConflictWitness(w.e, w.f, w.p, w.hit))
 
 
 def test_normal_through_endpoint_is_not_a_conflict():

@@ -74,25 +74,17 @@ def test_crossing_message_names_the_smallest_edge_pair():
                          [(0, 1), (2, 3), (4, 5), (6, 7)])
 
 
-def test_validate_drawing_skips_pairs_apart_in_x(monkeypatch):
-    calls = 0
-    real = geometry.segment_intersection
-
-    def counting(s1, s2):
-        nonlocal calls
-        calls += 1
-        return real(s1, s2)
-
-    # count the calls made through any module that binds the name
-    for module in (geometry, drawing):
-        if hasattr(module, "segment_intersection"):
-            monkeypatch.setattr(module, "segment_intersection", counting)
+def test_validate_drawing_skips_pairs_apart_in_x(count_calls):
+    pair_tests = count_calls(geometry, "_improper_pair", drawing)
+    meets = count_calls(geometry, "segment_intersection", drawing)
     m = 400
     d = validate_drawing(_v(*((i, 0 if i % 2 == 0 else 10)
                               for i in range(m + 1))),
                          [(i, i + 1) for i in range(m)])
     assert d.n_edges == m
-    assert calls <= 4 * m
+    assert pair_tests() <= 4 * m
+    # the sweep decides on the lattice; only a fault is named
+    assert meets() == 0
 
 
 def test_clockwise_order_around_plus_center():

@@ -1,11 +1,12 @@
 """Integer-lattice predicates against the same predicates on Fractions.
 
 Drawings and polygons decide edge conflicts, and drawings the path-IC
-halfplanes, on one integer lattice (geometry.lattice). These properties
-check every verdict and witness against the Fraction computation, on
-point sets with mixed denominators, collinear and parallel edges and
-numerators up to 10**30. Hypothesis runs derandomized with a fixed
-number of examples, so the suite stays reproducible.
+halfplanes, on one integer lattice (geometry.lattice), and so does the
+plane-contact sweep. These properties check every verdict and witness
+against the Fraction computation, on point sets with mixed
+denominators, collinear and parallel edges and numerators up to
+10**30. Hypothesis runs derandomized with a fixed number of examples,
+so the suite stays reproducible.
 """
 import functools
 from fractions import Fraction
@@ -22,7 +23,18 @@ from grrdecomp.analysis import (
 )
 from grrdecomp.drawing import Drawing
 from grrdecomp.errors import GRRError
-from grrdecomp.geometry import LatticePoint, Point, Polygon, lattice
+from grrdecomp.geometry import (
+    LatticePoint,
+    Point,
+    Polygon,
+    Segment,
+    _improper_pair,
+    cross,
+    dot,
+    improper_contact,
+    lattice,
+    segment_intersection,
+)
 
 BIG = 10 ** 30
 DENOMS = (1, 2, 3, 7, 12, 997, 10 ** 6 + 3, 2 ** 61 - 1)
@@ -148,3 +160,75 @@ def tree_drawings(draw):
 @given(tree_drawings())
 def test_path_table_matches_direct_predicate_on_lattice_trees(d):
     assert_table_matches_direct_predicate(d, "lattice")
+
+
+def fraction_improper(s, t):
+    """The Fraction rule the sign test replaced: a common endpoint, or
+    else segment_intersection."""
+    a, b, c, d = s.a, s.b, t.a, t.b
+    p = a if a in (c, d) else b if b in (c, d) else None
+    if p is None:
+        return segment_intersection(s, t) is not None
+    u, v = (b if p is a else a) - p, (d if p == c else c) - p
+    return u == v or (cross(u, v) == 0 and dot(u, v) > 0)
+
+
+@st.composite
+def segment_lists(draw, min_size=2, max_size=2):
+    """Segments on a small half-integer grid, scaled by a large ratio.
+    After the first, each segment is free, collinear with an earlier one
+    (overlapping it or apart), touching it at an endpoint or inside (a
+    T-junction), or sharing one of its endpoints."""
+    def grid():
+        return Point(Fraction(draw(st.integers(-4, 4)), 2),
+                     Fraction(draw(st.integers(-4, 4)), 2))
+
+    ends: list[tuple[Point, Point]] = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        kind = draw(st.sampled_from(
+            ("free", "collinear", "touch", "shared") if ends else ("free",)))
+        a, b = ends[draw(st.integers(0, len(ends) - 1))] if ends else (0, 0)
+
+        def along():
+            return a + (b - a) * Fraction(draw(st.integers(-4, 8)), 4)
+
+        if kind == "free":
+            c, d = grid(), grid()
+        elif kind == "collinear":
+            c, d = along(), along()
+        elif kind == "touch":
+            c, d = along(), grid()
+        else:
+            c, d = draw(st.sampled_from((a, b))), grid()
+        if draw(st.booleans()):
+            c, d = d, c
+        assume(c != d)
+        ends.append((c, d))
+    unit = Fraction(draw(st.integers(1, BIG)), draw(st.sampled_from(DENOMS)))
+    return [Segment(c * unit, d * unit) for c, d in ends]
+
+
+CONTACTS = settings(PROPERTY, max_examples=400)
+
+
+@CONTACTS
+@given(segment_lists())
+def test_improper_pair_signs_match_segment_intersection(segs):
+    s, t = segs
+    want = fraction_improper(s, t)
+    la, lb, lc, ld = lattice((s.a, s.b, t.a, t.b))
+    assert _improper_pair(la, lb, lc, ld) == want
+    assert _improper_pair(lc, ld, la, lb) == want
+    assert _improper_pair(s.a, s.b, t.a, t.b) == want
+
+
+@CONTACTS
+@given(segment_lists(min_size=1, max_size=6))
+def test_improper_contact_matches_the_fraction_rule(segs):
+    bad = [(i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
+           if fraction_improper(segs[i], segs[j])]
+    want = None
+    if bad:
+        i, j = bad[0]
+        want = (i, j, segment_intersection(segs[i], segs[j]))
+    assert improper_contact(segs) == want

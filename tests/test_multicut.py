@@ -1,9 +1,13 @@
 """Tree multicut: instance model, exact solver, 2-approximation."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import sun_drawing
+from grrdecomp.drawing import subdivide
 from grrdecomp.errors import BudgetExceededError, NotATreeError
 from grrdecomp.multicut import (
     Cut,
@@ -13,6 +17,8 @@ from grrdecomp.multicut import (
     multicut_weight,
     solve_exact_small,
 )
+from grrdecomp.oracle import random_tree_drawing
+from grrdecomp.treedecomp import build_multicut_instance
 
 
 def path_instance(n, pairs, weights=None):
@@ -196,3 +202,33 @@ def test_exact_is_never_beaten_on_corpus(multicut_corpus):
     for record in multicut_corpus:
         assert record["exact"].total_weight <= record["heur"].total_weight
         assert is_multicut(record["inst"], record["exact"])
+
+
+def test_approx_walks_each_path_once_on_corpus(multicut_corpus, count_calls):
+    # cuts as the re-walking reverse delete gave them
+    walks = count_calls(MulticutInstance, "path_edges")
+    cuts, pairs = [], 0
+    for record in multicut_corpus:
+        inst = record["inst"]
+        cut = approx_gvy(inst)
+        assert cut == record["heur"]
+        cuts.append(sorted(cut.edges))
+        pairs += len(inst.terminal_pairs)
+    assert walks() <= pairs
+    assert hashlib.sha256(repr(cuts).encode()).hexdigest() == (
+        "ae7f1a4ae15b4b7acd9a2b578488c3789e25f77b811cd4ac567e28c4a7e18091")
+
+
+def test_approx_walks_each_path_once_on_drawings(count_calls):
+    # conflict trees of seeded suns and subdivided random trees
+    rng = random.Random(9)
+    drawings = [sun_drawing(rng, 20 + 10 * k) for k in range(3)]
+    drawings += [subdivide(random_tree_drawing(rng, 6 + 2 * k)).drawing
+                 for k in range(6)]
+    insts = [build_multicut_instance(d) for d in drawings]
+    walks = count_calls(MulticutInstance, "path_edges")
+    cuts = [sorted(approx_gvy(inst).edges) for inst in insts]
+    assert walks() <= sum(len(inst.terminal_pairs) for inst in insts)
+    assert [len(c) for c in cuts] == [17, 27, 37, 4, 6, 8, 7, 10, 11]
+    assert hashlib.sha256(repr(cuts).encode()).hexdigest() == (
+        "5bddc23ed73bc2018186b69b2b01469b89551188bc61fb957f0e3a9334c6cb73")

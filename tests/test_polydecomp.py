@@ -112,21 +112,21 @@ def test_escaping_diagonal_is_rejected():
                         [(5, 7), (0, 5), (0, 4), (1, 4), (4, 6)])
 
 
-def test_dual_tree_build_locates_no_points(monkeypatch):
-    calls = 0
-    real = geometry.point_in_polygon
-
-    def counting(poly, q):
-        nonlocal calls
-        calls += 1
-        return real(poly, q)
-
-    for module in (geometry, polydecomp):
-        if hasattr(module, "point_in_polygon"):
-            monkeypatch.setattr(module, "point_in_polygon", counting)
+def test_dual_tree_build_locates_no_points(count_calls):
+    calls = count_calls(geometry, "point_in_polygon", polydecomp)
     tp = build_dual_tree(two_notch_polygon(), two_notch_tp().diagonals)
     assert tp.n_triangles == 10
-    assert calls == 0
+    assert calls() == 0
+
+
+def test_fan_dual_tree_decides_contacts_on_the_lattice(count_calls):
+    calls = count_calls(geometry, "segment_intersection", polydecomp)
+    # every fan diagonal's bounding box holds the boundary edges it spans
+    n = 300
+    fan = Polygon(pt(i, i * i) for i in range(n))
+    tp = build_dual_tree(fan, [(0, k) for k in range(2, n - 1)])
+    assert tp.n_triangles == n - 2
+    assert calls() == 0
 
 
 def test_triangle_polygon_has_no_diagonals():
@@ -187,20 +187,12 @@ def test_conflicts_with_coprime_denominators_match_the_scaled_copy():
     assert conflicting_triangle_pairs(whole) == expected
 
 
-def test_triangle_conflicts_build_no_points(monkeypatch):
-    calls = 0
-    real = Point.__post_init__
-
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        real(self)
-
+def test_triangle_conflicts_build_no_points(count_calls):
     tp = strip_tp(20, rise=2)
     assert tp.n_triangles == 40
-    monkeypatch.setattr(Point, "__post_init__", counting)
+    built = count_calls(Point, "__post_init__")
     pairs = conflicting_triangle_pairs(tp)
-    assert calls == 0
+    assert built() == 0
     assert len(pairs) == 213
 
 

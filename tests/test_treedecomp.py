@@ -137,22 +137,14 @@ def test_path_table_matches_direct_predicate_on_subdivided_trees():
         done += 1
 
 
-def test_path_table_makes_at_most_two_halfplane_tests_per_pair(monkeypatch):
+def test_path_table_makes_at_most_two_halfplane_tests_per_pair(count_calls):
     # the recurrence tests two halfplanes per ordered pair; a walk that
     # re-scans each path would make about 2 * n**3 / 3 tests here
-    calls = 0
-    real = treedecomp.in_hp
-
-    def counting(h, r):
-        nonlocal calls
-        calls += 1
-        return real(h, r)
-
     d = zigzag(random.Random(200), 200)
     n = d.n_vertices
-    monkeypatch.setattr(treedecomp, "in_hp", counting)
+    calls = count_calls(treedecomp, "in_hp")
     table = precompute_path_ic(rooted(d))
-    assert 0 < calls <= 2 * n * (n - 1)
+    assert 0 < calls() <= 2 * n * (n - 1)
     assert table.query(0, n - 1) and table.query(n - 1, 0)
 
 
@@ -176,23 +168,15 @@ def test_path_table_query_rejects_unknown_vertices():
 
 
 @pytest.mark.parametrize("n_edges", [22, 200])
-def test_conflict_free_checks_build_no_points(monkeypatch, n_edges):
+def test_conflict_free_checks_build_no_points(count_calls, n_edges):
     # both scans decide every pair on the drawing's lattice; a Point
     # would only be built for a witness, and this zigzag has none
-    calls = 0
-    real = Point.__post_init__
-
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        real(self)
-
     d = zigzag(random.Random(n_edges), n_edges)
     whole = Partition((frozenset(range(n_edges)),), "proper")
-    monkeypatch.setattr(Point, "__post_init__", counting)
+    built = count_calls(Point, "__post_init__")
     assert conflicting_pairs(d) == ()
     assert validate_partition(d, whole).ok
-    assert calls == 0
+    assert built() == 0
 
 
 # -- partition validation -----------------------------------------------------------
