@@ -1,5 +1,7 @@
 """Command-line interface; exit 0 on success, 1 on validation failure,
-2 on usage errors."""
+2 on usage errors. A run that exceeds a size budget, the recursion limit
+or the memory it can get ends with a one-line error and exit 1, never
+with a traceback."""
 from __future__ import annotations
 
 import argparse
@@ -219,6 +221,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except GRRError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: recursion limit exceeded", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

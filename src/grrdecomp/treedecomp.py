@@ -6,10 +6,11 @@ paths (the clockwise-first and clockwise-last paths leaving the
 subtree), together with the degree of the vertex inside the component.
 One join builds the root components in which the vertex has degree two
 to four, by merging those of child tables or of a joined pair and a
-child table. Every table entry points at the entries it was built
-from, in the one format DPTables describes, and a loop over an
-explicit stack follows those pointers to rebuild the components,
-however deep the tree.
+child table; a table of which children fit together, built once per
+vertex, skips the joins that cannot build anything. Every table entry
+points at the entries it was built from, in the one format DPTables
+describes, and a loop over an explicit stack follows those pointers to
+rebuild the components, however deep the tree.
 Two contact regimes are supported exactly: noncrossing and proper.
 A multicut reduction provides a fast 2-approximation for proper
 contacts, and edge splits are handled by running the same program on
@@ -274,6 +275,9 @@ class DPTables:
     have their root components merged into it, and the entries in apart
     contribute components of their own. An entry with neither own_edge
     nor joined has no root component and only collects apart entries.
+    In proper mode sigma_m[u][(a, b)] is a chain: its apart entries are
+    sigma_m[u][(a, b - 1)] (the empty run's entry when b == a) and child
+    b's smallest tau entry, so each run costs O(1).
     """
     mode: str
     rt: RootedTree
@@ -326,6 +330,51 @@ def _join(ic: dict, parts, apart: tuple, out: dict) -> None:
             out[(first, y)] = (val, (None, refs, apart))
 
 
+def _fit_table(ic: dict, taus: list, paths: list) -> tuple[list, list, list]:
+    """Which children of a vertex can meet in one join, as bit masks
+    over the child indices 1..d.
+
+    Bit j of first_fit[i] (last_fit[i]) is set when a first (last)
+    endpoint of child j has increasing-chord paths to both ends of some
+    key of child i. A join survivor needs such paths from every endpoint
+    of a later part to both ends of each earlier part's key, and IC is
+    symmetric, so a join whose parts miss these bits builds nothing.
+    arms[i] holds the children j that fit i both ways, when both have
+    path entries: the pairs a join of four path arms needs.
+    """
+    d = len(taus)
+    firsts = [{x for (x, _), _ in items} for items in taus]
+    lasts = [{y for (_, y), _ in items} for items in taus]
+    ends = set().union(*firsts, *lasts)
+    first_fit, last_fit = [0] * (d + 1), [0] * (d + 1)
+    for i, items in enumerate(taus, 1):
+        reach = set()
+        for (x, y), _ in items:
+            reach |= ends & ic[x] & ic[y]
+        for j in range(1, d + 1):
+            if j != i:
+                if not reach.isdisjoint(firsts[j - 1]):
+                    first_fit[i] |= 1 << j
+                if not reach.isdisjoint(lasts[j - 1]):
+                    last_fit[i] |= 1 << j
+    both = [f & g for f, g in zip(first_fit, last_fit)]
+    arms = [0] * (d + 1)
+    for i in range(1, d + 1):
+        if paths[i - 1]:
+            for j in _bits(both[i]):
+                if paths[j - 1] and both[j] >> i & 1:
+                    arms[i] |= 1 << j
+    return first_fit, last_fit, arms
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
     if mode not in ("proper", "noncrossing"):
         raise ValueError(
@@ -347,12 +396,10 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
             continue
         taus = [sorted(t.tau[c].items()) for c in cs]
         paths = [[(k, e) for k, e in items if k[0] == k[1]] for items in taus]
-        # child pairs whose path entries fit in one component; a
-        # degree-four join needs every two of its arms to be such a pair,
-        # so the joins of other arms are skipped
-        fits = {(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)
-                if any(y in ic[x] for (x, _), _ in paths[i - 1]
-                       for (y, _), _ in paths[j - 1])}
+        if d >= 2:
+            first_fit, last_fit, arms = _fit_table(ic, taus, paths)
+        if mode == "proper":
+            bests = [t.tau[c][t.tau_best[c][1]] for c in cs]
         sd: dict[int, dict] = {1: {}, 2: {}, 3: {}, 4: {}}
         sorted2: dict = {}
         sg: dict = {}
@@ -370,27 +417,34 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                                    for key, ent in taus[a - 1]}
                 else:
                     ent2 = sd[2][span] = {}
-                    _join(ic, (taus[a - 1], taus[b - 1]),
-                          (sm[(a + 1, b - 1)],), ent2)
+                    if (first_fit[a] & last_fit[a]) >> b & 1:
+                        _join(ic, (taus[a - 1], taus[b - 1]),
+                              (sm[(a + 1, b - 1)],), ent2)
                     sorted2[span] = sorted(ent2.items())
                 if w >= 2:
                     ent3 = sd[3][span] = {}
-                    for mm in range(a + 1, b):
-                        # two-child part low and path part at b, then mirrored
-                        _join(ic, (sorted2[(a, mm)], taus[b - 1]),
-                              (sm[(mm + 1, b - 1)],), ent3)
-                        _join(ic, (taus[a - 1], sorted2[(mm, b)]),
-                              (sm[(a + 1, mm - 1)],), ent3)
+                    inside = (1 << b) - (2 << a)    # the children a+1..b-1
+                    # a pair part a..mm brings a's firsts and mm's lasts to
+                    # child b; a pair part mm..b brings mm's firsts and b's
+                    # lasts to child a
+                    lows = last_fit[b] if first_fit[b] >> a & 1 else 0
+                    highs = first_fit[a] if last_fit[a] >> b & 1 else 0
+                    for mm in _bits((lows | highs) & inside):
+                        if lows >> mm & 1 and sorted2[(a, mm)]:
+                            _join(ic, (sorted2[(a, mm)], taus[b - 1]),
+                                  (sm[(mm + 1, b - 1)],), ent3)
+                        if highs >> mm & 1 and sorted2[(mm, b)]:
+                            _join(ic, (taus[a - 1], sorted2[(mm, b)]),
+                                  (sm[(a + 1, mm - 1)],), ent3)
                 if w >= 3:
                     ent4 = sd[4][span] = {}
-                    for jj in range(a + 1, b - 1):
-                        if (a, b) not in fits or (a, jj) not in fits:
-                            continue
+                    # every two of the four arms must fit
+                    inner = (arms[a] & arms[b] & inside
+                             if arms[a] >> b & 1 else 0)
+                    for jj in _bits(inner):
                         low = (paths[a - 1], paths[jj - 1])
                         below = sm[(a + 1, jj - 1)]
-                        for kk in range(jj + 1, b):
-                            if (jj, kk) not in fits:
-                                continue
+                        for kk in _bits(inner & arms[jj] & -(2 << jj)):
                             _join(ic, low + (paths[kk - 1], paths[b - 1]),
                                   (below, sm[(jj + 1, kk - 1)],
                                    sm[(kk + 1, b - 1)]), ent4)
@@ -408,20 +462,23 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
             for a in range(1, d - w + 1):
                 b = a + w
                 if mode == "proper":
-                    refs = tuple(t.tau[c][t.tau_best[c][1]]
-                                 for c in cs[a - 1:b])
-                    best = (sum(ent[0] for ent in refs), (None, (), refs))
+                    # every child apart: the run a..b-1, then child b
+                    rest, last = sm[(a, b - 1)], bests[b - 1]
+                    best = (rest[0] + last[0], (None, (), (rest, last)))
                 else:
+                    # a sigma span pp..qq between minimum runs on either
+                    # side, the lexicographically first (pp, qq) of least
+                    # size. Every tiling of a..b starts with a span at a,
+                    # so pp = a reaches the least size: scan qq alone
                     best = None
-                    for pp in range(a, b + 1):
-                        for qq in range(pp, b + 1):
-                            bs = bsig.get((pp, qq))
-                            if bs is None:
-                                continue
-                            left, right = sm[(a, pp - 1)], sm[(qq + 1, b)]
-                            val = left[0] + bs[0] + right[0]
-                            if best is None or val < best[0]:
-                                best = (val, (None, (), (left, bs, right)))
+                    for qq in range(a, b + 1):
+                        bs = bsig.get((a, qq))
+                        if bs is None:
+                            continue
+                        right = sm[(qq + 1, b)]
+                        val = bs[0] + right[0]
+                        if best is None or val < best[0]:
+                            best = (val, (None, (), (_NOTHING, bs, right)))
                     if best is None:
                         raise GRRError(
                             f"no partition for span {(a, b)} at {u}")

@@ -6,6 +6,7 @@ built exactly once per session. All seeds are fixed; reruns are
 bit-for-bit reproducible.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -43,7 +44,9 @@ from grrdecomp.polydecomp import (
     decompose_polygon_exact_small,
 )
 from grrdecomp.treedecomp import (
+    _components_of,
     approx_gtd_proper,
+    fill_gtd_tables,
     min_gtd_exact,
     min_gtd_with_splits,
     precompute_path_ic,
@@ -118,6 +121,28 @@ def sun_drawing(rng, n_legs):
             verts.append((len(verts), pt(*end)))
             edges.append((len(verts) - 2, len(verts) - 1))
     return validate_drawing(verts, edges)
+
+
+def dp_table_digest(rt, mode):
+    """A sha256 of every tau and sigma_m entry of the DP tables: its key,
+    its size and the components it reconstructs to, plus the number of
+    entries in all tables."""
+    tables = fill_gtd_tables(rt, mode)
+    rows = []
+    for name, per_vertex in (("tau", tables.tau), ("sigma_m", tables.sigma_m)):
+        for u in sorted(per_vertex):
+            for key, ent in sorted(per_vertex[u].items()):
+                comps = sorted(sorted(c) for c in _components_of(ent))
+                rows.append((name, u, key, ent[0], comps))
+    count = sum(len(v) for v in tables.tau.values())
+    count += sum(len(per_span) for sd in tables.sigma_delta.values()
+                 for per_delta in sd.values()
+                 for per_span in per_delta.values())
+    count += sum(len(per_span) for sg in tables.sigma.values()
+                 for per_span in sg.values())
+    count += sum(len(sm) for sm in tables.sigma_m.values())
+    rows.append(("entries", count))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 # -- generic helpers -----------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from grrdecomp import cli
 from grrdecomp.cli import main
 from grrdecomp.drawing import default_root, root_tree, subdivide
 from grrdecomp.fixtures import (
@@ -274,3 +275,19 @@ def test_bad_json_exits_1(files, capsys):
     f = files("d.json", "{broken")
     assert main(["check-drawing", f]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, message", [
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: recursion limit exceeded\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["recursion", "memory"])
+def test_resource_limits_exit_1_without_traceback(files, capsys, monkeypatch,
+                                                  exc, message):
+    def exhausted(d):
+        raise exc
+
+    monkeypatch.setattr(cli, "conflicting_pairs", exhausted)
+    f = files("d.json", serialize_drawing(p_ic()))
+    assert main(["check-drawing", f]) == 1
+    assert capsys.readouterr() == ("", message)

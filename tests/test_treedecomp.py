@@ -1,5 +1,7 @@
 """Decomposition DP, partition validation, and the multicut bridge."""
 
+import hashlib
+import math
 import random
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 import grrdecomp.treedecomp as treedecomp
 from conftest import (
     assert_table_matches_direct_predicate,
+    dp_table_digest,
+    sun_drawing,
     tree_fixture_drawings,
 )
 from grrdecomp.analysis import conflicting_pairs
@@ -320,17 +324,114 @@ def test_component_shapes(name, mode):
             == COMPONENT_SHAPES[(name, mode)])
 
 
+def four_arm_star():
+    """Four legs at right angles and a diagonal leg toward the root."""
+    return validate_drawing(
+        [(0, pt(0, 0)), (1, pt(2, 2)), (2, pt(3, 0)), (3, pt(0, -3)),
+         (4, pt(-3, 0)), (5, pt(0, 3))],
+        [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
+
+
 @pytest.mark.parametrize("mode", ["proper", "noncrossing"])
 def test_four_arms_join_into_one_component(mode):
     # the four legs at right angles form one component only through a
     # join of four arms; the diagonal leg toward the root stays apart
-    d = validate_drawing(
-        [(0, pt(0, 0)), (1, pt(2, 2)), (2, pt(3, 0)), (3, pt(0, -3)),
-         (4, pt(-3, 0)), (5, pt(0, 3))],
-        [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
-    p = min_gtd_exact(rooted(d), mode)
+    p = min_gtd_exact(rooted(four_arm_star()), mode)
     assert tuple(tuple(sorted(c)) for c in p.components) == (
         (0,), (1, 2, 3, 4))
+
+
+def right_angle_star(rng, n_extra):
+    """A star around vertex 0 with four legs on the axes, so their path
+    entries can join into one component, and n_extra legs on random
+    lattice directions between them; a few legs carry a second edge
+    that continues straight on."""
+    dirs = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    while len(dirs) < 4 + n_extra:
+        dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
+        if (dx, dy) != (0, 0) and math.gcd(dx, dy) == 1:
+            dirs.add((dx, dy))
+    verts = [(0, pt(0, 0))]
+    edges = []
+    for dx, dy in sorted(dirs, key=lambda v: math.atan2(v[1], v[0])):
+        r = rng.randint(2, 5)
+        verts.append((len(verts), pt(r * dx, r * dy)))
+        edges.append((0, len(verts) - 1))
+        if rng.random() < 0.3:
+            verts.append((len(verts), pt((r + 3) * dx, (r + 3) * dy)))
+            edges.append((len(verts) - 2, len(verts) - 1))
+    return validate_drawing(verts, edges)
+
+
+def dp_family(name):
+    """The drawings of one DP-table digest family."""
+    if name == "suns":
+        return [sun_drawing(random.Random(n), n) for n in (8, 16, 24, 32, 40)]
+    if name == "right-angle stars":
+        # each has degree-four entries, built by a join of four arms
+        return [four_arm_star()] + [right_angle_star(random.Random(s), 6)
+                                    for s in (0, 1, 4, 5, 8)]
+    if name == "subdivided trees":
+        rng = random.Random(29)
+        drawings = []
+        while len(drawings) < 6:
+            try:
+                d = random_tree_drawing(rng, rng.randint(4, 8))
+            except GRRError:
+                continue
+            drawings.append(subdivide(d).drawing)
+        return drawings
+    return list(tree_fixture_drawings().values())
+
+
+# digests of every tau and sigma_m entry in both modes, recorded before
+# the joins at wide vertices were gated
+DP_DIGESTS = {
+    "suns":
+        "3dc08bff119f6176e3577caa393ede289029b97e0c3ee027763c7c25b045cab2",
+    "right-angle stars":
+        "abd755b47da25ba039dcf6138a380acdc7d7d49b342f09fa544372dd06422b06",
+    "subdivided trees":
+        "7b93c8be8e9e633cc01333240f29d778166369245173d370cbb7a13a94388a03",
+    "fixtures":
+        "5aa6cb4ccb1cbfd7af9034dc6db5fb6ef6647b1f8f0a01187bade71e0cb2e96a",
+}
+
+
+def dp_family_digest(name):
+    return hashlib.sha256("".join(
+        dp_table_digest(rooted(d), mode) for d in dp_family(name)
+        for mode in ("proper", "noncrossing")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(DP_DIGESTS))
+def test_dp_tables_are_unchanged(name):
+    assert dp_family_digest(name) == DP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("mode", ["proper", "noncrossing"])
+def test_wide_vertex_joins_are_gated(count_calls, mode):
+    # the sun's center has 39 children. Ungated, the fill made 20,641
+    # joins in either mode; joins whose children cannot share a
+    # component are skipped, which leaves 1,610
+    rt = rooted(sun_drawing(random.Random(40), 40))
+    joins = count_calls(treedecomp, "_join")
+    fill_gtd_tables(rt, mode)
+    assert joins() <= 2000
+
+
+# optimum sizes of the seeded 32-leg sun, recorded before the joins at
+# wide vertices were gated
+SUN_32_OPTIMA = {"proper": 30, "noncrossing": 23}
+
+
+def test_sun_32_solves_exactly():
+    d = sun_drawing(random.Random(32), 32)
+    parts = {mode: min_gtd_exact(rooted(d), mode) for mode in SUN_32_OPTIMA}
+    assert {mode: p.size for mode, p in parts.items()} == SUN_32_OPTIMA
+    assert parts["noncrossing"].size <= parts["proper"].size
+    for p in parts.values():
+        assert validate_partition(d, p).ok
 
 
 @pytest.fixture(scope="module")
