@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .drawing import Drawing, clockwise_order, components
+from .drawing import Drawing, clockwise_order, components, validate_drawing
 from .errors import (
     DegeneratePathError,
     GRRError,
@@ -303,8 +303,6 @@ def tree_increasing_chord(d: Drawing, edge_subset) -> bool:
 
 def _union_paths(paths: Sequence[Sequence[Point]]) -> tuple[Drawing, int]:
     """Union polylines from a common origin into a validated tree drawing."""
-    from .drawing import validate_drawing
-
     cleaned = []
     for path in paths:
         try:

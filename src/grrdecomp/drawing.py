@@ -2,7 +2,7 @@
 and the normal-line subdivision used by split-allowing decompositions."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -17,9 +17,9 @@ from .errors import (
     ZeroLengthEdgeError,
 )
 from .geometry import (
+    LatticePoint,
     Point,
     Segment,
-    cross,
     improper_contact,
     lattice,
     slab_projections,
@@ -32,10 +32,12 @@ class Drawing:
     Construct through validate_drawing; the raw constructor trusts its
     input and only builds the derived lookup tables. lattice maps each
     vertex id to its point on the drawing's integer lattice
-    (geometry.lattice).
+    (geometry.lattice); clockwise_order builds the rotation system from
+    it on first read.
     """
 
-    __slots__ = ("vertex_ids", "points", "edges", "adjacency", "lattice")
+    __slots__ = ("vertex_ids", "points", "edges", "adjacency", "lattice",
+                 "_rotation")
 
     def __init__(self, vertices: Sequence[tuple[int, Point]],
                  edges: Sequence[tuple[int, int]]):
@@ -50,6 +52,7 @@ class Drawing:
         self.adjacency = {vid: tuple(lst) for vid, lst in adjacency.items()}
         self.lattice = dict(zip(self.vertex_ids, lattice(
             self.points[vid] for vid in self.vertex_ids)))
+        self._rotation: Optional[dict[int, tuple[int, ...]]] = None
 
     def point(self, vid: int) -> Point:
         return self.points[vid]
@@ -123,40 +126,32 @@ def validate_drawing(vertices: Iterable[tuple[int, Point]],
 
 # -- rotation order -----------------------------------------------------------
 
-def _cw_class(v: Point) -> int:
-    # clockwise sweep starting from the positive x axis
-    if v.y == 0:
-        return 0 if v.x > 0 else 4
-    if v.x == 0:
-        return 2 if v.y < 0 else 6
-    if v.x > 0:
-        return 1 if v.y < 0 else 7
-    return 3 if v.y < 0 else 5
+def _cw_key(u: LatticePoint) -> tuple:
+    # clockwise from +x: the direction class (the axes and the open
+    # quadrants), then decreasing slope within a quadrant
+    if u.y == 0:
+        return (0 if u.x > 0 else 4, 0)
+    if u.x == 0:
+        return (2 if u.y < 0 else 6, 0)
+    if u.x > 0:
+        return (1 if u.y < 0 else 7, Fraction(-u.y, u.x))
+    return (3 if u.y < 0 else 5, Fraction(-u.y, u.x))
 
 
 def clockwise_order(d: Drawing, vid: int) -> tuple[int, ...]:
-    """Edge indices at vid, sorted clockwise starting from direction +x."""
+    """Edge indices at vid, sorted clockwise starting from direction +x.
+
+    The first call sorts every vertex's edges once, on the lattice, and
+    the drawing keeps this rotation system.
+    """
     if vid not in d.points:
         raise UnknownVertexError(f"unknown vertex {vid}")
-    base = d.points[vid]
-    dirs = []
-    for idx in d.adjacency[vid]:
-        w = d.other_endpoint(idx, vid)
-        dirs.append((d.points[w] - base, idx))
-    import functools
-
-    def cmp(a, b):
-        (va, ia), (vb, ib) = a, b
-        ca, cb = _cw_class(va), _cw_class(vb)
-        if ca != cb:
-            return -1 if ca < cb else 1
-        c = cross(va, vb)
-        if c != 0:
-            return -1 if c < 0 else 1
-        return 0  # same direction: impossible in a valid drawing
-
-    dirs.sort(key=functools.cmp_to_key(cmp))
-    return tuple(idx for _, idx in dirs)
+    if d._rotation is None:
+        lat = d.lattice
+        d._rotation = {v: tuple(sorted(incident, key=lambda idx: _cw_key(
+            lat[d.other_endpoint(idx, v)] - lat[v])))
+            for v, incident in d.adjacency.items()}
+    return d._rotation[vid]
 
 
 # -- rooted trees -------------------------------------------------------------

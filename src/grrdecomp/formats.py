@@ -2,12 +2,14 @@
 
 Coordinates are exact rationals serialized as strings ("1/3", "-2");
 integers and decimal numbers are accepted on input, with decimal
-numbers read at face value (0.1 means one tenth). parse and serialize
-are inverses on everything this package produces.
+numbers read at face value (0.1 means one tenth) and non-finite ones
+(Infinity, NaN, 1e400) rejected. parse and serialize are inverses on
+everything this package produces.
 """
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -24,7 +26,9 @@ def _coord(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(repr(value))
+        if math.isfinite(value):
+            return Fraction(repr(value))
+        raise FormatError(f"{where}: expected a finite number, got {value}")
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -39,6 +43,8 @@ def _load(text: str) -> dict:
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond the digit limit
+        raise FormatError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
     return doc
@@ -185,6 +191,9 @@ def parse_partition(text: str, drawing: Optional[Drawing] = None) -> Partition:
                     raise FormatError(
                         f'components[{ci}]: fragment needs "edge", "from", '
                         f'"to"')
+                if type(e["edge"]) is not int:
+                    raise FormatError(
+                        f"components[{ci}]: fragment edge must be an integer")
                 key = (e["edge"], _coord(e["from"], "from"),
                        _coord(e["to"], "to"))
                 if key not in frag_index:

@@ -26,6 +26,7 @@ from .errors import (
     NotATreeError,
 )
 from .geometry import (
+    LatticePoint,
     Point,
     Polygon,
     Segment,
@@ -249,30 +250,27 @@ def random_tree_drawing(rng: random.Random, n_edges: int,
     if span is None:
         span = max(8, 2 * n_edges)
 
-    def grid_point() -> Point:
-        return Point(frac(rng.randint(-span, span)),
-                     frac(rng.randint(-span, span)))
+    def grid_point() -> LatticePoint:
+        return LatticePoint(rng.randint(-span, span), rng.randint(-span, span))
 
     for _ in range(200):
         pts = [grid_point()]
         parents: list[int] = []
-        segs: list[Segment] = []
+        segs: list[tuple[LatticePoint, LatticePoint]] = []
         ok = True
         for v in range(1, n_edges + 1):
             placed = False
             for _ in range(300):
                 par = rng.randint(0, v - 1)
-                q = grid_point()
+                p, q = pts[par], grid_point()
                 if q in pts:
                     continue
                 # every placed point is an endpoint of a placed edge, so
                 # a point lying on the new edge is an improper contact
-                seg = Segment(pts[par], q)
-                if not any(_improper_pair(s.a, s.b, seg.a, seg.b)
-                           for s in segs):
+                if not any(_improper_pair(a, b, p, q) for a, b in segs):
                     pts.append(q)
                     parents.append(par)
-                    segs.append(seg)
+                    segs.append((p, q))
                     placed = True
                     break
             if not placed:
@@ -280,7 +278,7 @@ def random_tree_drawing(rng: random.Random, n_edges: int,
                 break
         if ok:
             return validate_drawing(
-                [(i, p) for i, p in enumerate(pts)],
+                [(i, Point(x, y)) for i, (x, y) in enumerate(pts)],
                 [(parents[v - 1], v) for v in range(1, n_edges + 1)])
     raise GRRError("could not sample a valid tree drawing")
 

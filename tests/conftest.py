@@ -22,13 +22,23 @@ from grrdecomp.analysis import (
     tree_increasing_chord,
 )
 from grrdecomp.drawing import (
+    Drawing,
     clockwise_order,
     default_root,
     root_tree,
     validate_drawing,
 )
-from grrdecomp.errors import GRRError, InputError
-from grrdecomp.geometry import Point, Polygon, dot, on_segment, pt, sq_dist
+from grrdecomp.errors import GRRError
+from grrdecomp.geometry import (
+    LatticePoint,
+    Point,
+    Polygon,
+    _improper_pair,
+    dot,
+    on_segment,
+    pt,
+    sq_dist,
+)
 from grrdecomp.multicut import approx_gvy, solve_exact_small
 from grrdecomp.oracle import (
     brute_force_all_modes,
@@ -277,6 +287,7 @@ def _grow_two_fans(rng, n1, n2, spread, global_ic):
     theta2 = theta1 + math.pi + rng.uniform(-0.6, 0.6)
     pals = (_palette(theta1, spread), _palette(theta2, spread))
     verts = [(0, pt(0, 0))]
+    lat = [LatticePoint(0, 0)]
     edges = []
     side_vids = ([0], [0])
     side_edges = ([], [])
@@ -286,19 +297,23 @@ def _grow_two_fans(rng, n1, n2, spread, global_ic):
                 base = rng.choice(side_vids[side])
                 a, b = rng.choice(pals[side])
                 scale = rng.choice((1, 1, 2))
-                bp = dict(verts)[base]
-                nid = len(verts)
-                cand_v = verts + [(nid, pt(bp.x + scale * a, bp.y + scale * b))]
-                cand_e = edges + [(base, nid)]
-                try:
-                    d = validate_drawing(cand_v, cand_e)
-                except InputError:
+                p = lat[base]
+                q = LatticePoint(p.x + scale * a, p.y + scale * b)
+                # the placed drawing is valid: only the new point and the
+                # new edge can meet the placed edges improperly
+                if q in lat or any(_improper_pair(lat[u], lat[v], p, q)
+                                   for u, v in edges):
                     continue
+                nid = len(verts)
+                cand_v = verts + [(nid, pt(q.x, q.y))]
+                cand_e = edges + [(base, nid)]
+                d = Drawing(cand_v, cand_e)
                 if not tree_increasing_chord(d, side_edges[side] + [len(edges)]):
                     continue
                 if global_ic and not tree_increasing_chord(d, range(len(cand_e))):
                     continue
                 verts, edges = cand_v, cand_e
+                lat.append(q)
                 side_vids[side].append(nid)
                 side_edges[side].append(len(edges) - 1)
                 break
@@ -380,14 +395,28 @@ def _split_random_tree(d, rng):
     for r in vids:
         fan = list(clockwise_order(d, r))
         k = len(fan)
+        sides = [side_edge_set(d, r, e) for e in fan]
+        arcs = {}
+
+        def arc(s, t):
+            """The t fan edges from position s, their edges and IC verdict."""
+            if (s, t) not in arcs:
+                edges = set().union(*(sides[(s + i) % k] for i in range(t)))
+                # a subtree of an increasing-chord tree is increasing-chord
+                ic = t == 1 or (arc(s, t - 1)[2]
+                                and arc((s + 1) % k, t - 1)[2])
+                arcs[s, t] = ([fan[(s + i) % k] for i in range(t)], edges,
+                              ic and tree_increasing_chord(d, edges))
+            return arcs[s, t]
+
         splits = [(s, t) for s in range(k) for t in range(1, k)]
         rng.shuffle(splits)
         for s, t in splits:
-            arc_a = [fan[(s + i) % k] for i in range(t)]
-            arc_b = [fan[(s + t + i) % k] for i in range(k - t)]
-            ea = set().union(*(side_edge_set(d, r, e) for e in arc_a))
-            eb = set().union(*(side_edge_set(d, r, e) for e in arc_b))
-            if tree_increasing_chord(d, ea) and tree_increasing_chord(d, eb):
+            arc_a, ea, ic_a = arc(s, t)
+            if not ic_a:
+                continue
+            arc_b, eb, ic_b = arc((s + t) % k, k - t)
+            if ic_b:
                 return r, arc_a, arc_b, ea, eb
     return None
 

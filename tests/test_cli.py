@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 
 import pytest
 
@@ -291,3 +292,62 @@ def test_resource_limits_exit_1_without_traceback(files, capsys, monkeypatch,
     f = files("d.json", serialize_drawing(p_ic()))
     assert main(["check-drawing", f]) == 1
     assert capsys.readouterr() == ("", message)
+
+
+def _with_literal(text, literal, path):
+    """text with the JSON value at path (a key sequence) spelled literal."""
+    doc = json.loads(text)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    return json.dumps(doc).replace('"@"', literal)
+
+
+@pytest.mark.parametrize("literal, shown", [
+    ("Infinity", "inf"), ("-Infinity", "-inf"), ("NaN", "nan"),
+    ("1e400", "inf")])
+@pytest.mark.parametrize("command, text", [
+    ("check-drawing", serialize_drawing(p_ic())),
+    ("check-polygon", serialize_polygon(lshape_polygon())),
+], ids=["drawing", "polygon"])
+def test_non_finite_coordinate_exits_1_without_traceback(
+        files, capsys, command, text, literal, shown):
+    f = files("doc.json", _with_literal(text, literal, ("vertices", 1, "y")))
+    assert main([command, f]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: vertices[1].y: expected a finite number, got {shown}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no integer digit limit")
+def test_integer_literal_beyond_the_digit_limit_exits_1(files, capsys):
+    text = _with_literal(serialize_drawing(p_ic()), "1" + "0" * 5000,
+                         ("vertices", 1, "x"))
+    assert main(["check-drawing", files("doc.json", text)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Exceeds the limit")
+    assert err.count("\n") == 1
+
+
+def _fragment_partition(edge, t_from='"0"'):
+    return ('{"contacts": "proper", "components": [[{"edge": %s, '
+            '"from": %s, "to": "1"}]]}' % (edge, t_from))
+
+
+@pytest.mark.parametrize("edge", ["[0]", '{"k": 0}', "true"],
+                         ids=["list", "object", "bool"])
+def test_fragment_edge_must_be_an_integer(files, capsys, edge):
+    f = files("d.json", serialize_drawing(comb_drawing()))
+    part = files("part.json", _fragment_partition(edge))
+    assert main(["render", f, "--partition", part]) == 1
+    assert capsys.readouterr() == (
+        "", "error: components[0]: fragment edge must be an integer\n")
+
+
+def test_non_finite_fragment_parameter_exits_1(files, capsys):
+    f = files("d.json", serialize_drawing(comb_drawing()))
+    part = files("part.json", _fragment_partition("0", "NaN"))
+    assert main(["render", f, "--partition", part]) == 1
+    assert capsys.readouterr() == (
+        "", "error: from: expected a finite number, got nan\n")

@@ -1,12 +1,13 @@
 """Drawing validation, rotation order, rooting, and subdivision."""
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from grrdecomp import drawing, geometry
+from grrdecomp import drawing, geometry, treedecomp
 from grrdecomp.drawing import (
     clockwise_order,
     components,
@@ -17,6 +18,7 @@ from grrdecomp.drawing import (
 )
 from grrdecomp.errors import (
     CrossingEdgesError,
+    GRRError,
     DuplicateEdgeError,
     DuplicateVertexError,
     NotATreeError,
@@ -29,6 +31,7 @@ from grrdecomp.fixtures import comb_drawing, p_ic, plus_drawing, star4_cross
 from grrdecomp.formats import serialize_drawing
 from grrdecomp.geometry import pt
 from grrdecomp.oracle import random_tree_drawing
+from grrdecomp.treedecomp import min_gtd_exact, validate_partition
 
 
 def _v(*coords):
@@ -94,6 +97,93 @@ def test_clockwise_order_around_plus_center():
     names = [d.other_endpoint(i, 0) for i in order]
     e_dirs = [d.points[v] - d.points[0] for v in names]
     assert [(q.x, q.y) for q in e_dirs] == [(1, 0), (0, -1), (-1, 0), (0, 1)]
+
+
+def _reference_clockwise_order(d, vid):
+    """The exact comparator clockwise_order replaced: the direction class
+    of the Fraction offset, then the sign of the cross product."""
+    def cw_class(v):
+        if v.y == 0:
+            return 0 if v.x > 0 else 4
+        if v.x == 0:
+            return 2 if v.y < 0 else 6
+        if v.x > 0:
+            return 1 if v.y < 0 else 7
+        return 3 if v.y < 0 else 5
+
+    def cmp(i, j):
+        va, vb = (d.points[d.other_endpoint(k, vid)] - d.points[vid]
+                  for k in (i, j))
+        ca, cb = cw_class(va), cw_class(vb)
+        if ca != cb:
+            return -1 if ca < cb else 1
+        c = geometry.cross(va, vb)
+        return -1 if c < 0 else 1 if c > 0 else 0
+
+    return tuple(sorted(d.adjacency[vid], key=functools.cmp_to_key(cmp)))
+
+
+def _fraction_star(rng):
+    """A star around a fractional center: one edge along each axis and
+    three in each open quadrant, with fractional offsets, in shuffled
+    edge order."""
+    def length():
+        return Fraction(rng.randint(1, 30), rng.randint(1, 7))
+
+    dirs = [(length(), 0), (0, -length()), (-length(), 0), (0, length())]
+    for sx, sy in ((1, -1), (-1, -1), (-1, 1), (1, 1)):
+        quadrant = []
+        while len(quadrant) < 3:
+            v = (sx * length(), sy * length())
+            if all(v[0] * w[1] != v[1] * w[0] for w in quadrant):
+                quadrant.append(v)
+        dirs += quadrant
+    rng.shuffle(dirs)
+    cx, cy = Fraction(1, 3), Fraction(-2, 7)
+    return validate_drawing(
+        [(0, pt(cx, cy))] + [(k + 1, pt(cx + x, cy + y))
+                             for k, (x, y) in enumerate(dirs)],
+        [(0, k + 1) for k in range(len(dirs))])
+
+
+def test_clockwise_order_matches_the_fraction_comparator_on_stars():
+    rng = random.Random(88)
+    for _ in range(50):
+        d = _fraction_star(rng)
+        want = _reference_clockwise_order(d, 0)
+        assert clockwise_order(d, 0) == want
+        # the order starts on +x and ends in the open first quadrant
+        first, last = (d.points[d.other_endpoint(want[k], 0)] - d.points[0]
+                       for k in (0, -1))
+        assert first.y == 0 < first.x and last.x > 0 < last.y
+
+
+def test_clockwise_order_matches_the_fraction_comparator_on_corpus(
+        tree_corpus):
+    for rec in tree_corpus["records"]:
+        d = rec["drawing"]
+        for v in d.vertex_ids:
+            assert clockwise_order(d, v) == _reference_clockwise_order(d, v)
+
+
+def test_rotation_reads_build_no_points(count_calls):
+    rng = random.Random(4040)
+    while True:
+        try:
+            d = random_tree_drawing(rng, 40)
+            break
+        except GRRError:
+            continue
+    part = min_gtd_exact(root_tree(d, default_root(d)), "noncrossing")
+    # a fresh copy of the drawing, whose rotation is not built yet
+    fresh = validate_drawing(d.points.items(), d.edges)
+    reads = count_calls(drawing, "clockwise_order", treedecomp)
+    points = count_calls(geometry.Point, "__post_init__")
+    root_tree(fresh, default_root(fresh))
+    assert validate_partition(fresh, part).ok
+    # root_tree reads every vertex; validate_partition the shared ones
+    assert reads() > fresh.n_vertices
+    assert points() == 0
 
 
 def test_root_tree_structure():

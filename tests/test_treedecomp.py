@@ -443,11 +443,18 @@ def sawtooth_400():
     return rooted(d)
 
 
+@pytest.fixture(scope="module")
+def sawtooth_1000():
+    return rooted(sawtooth(random.Random(1000), 1000))
+
+
 @pytest.mark.parametrize("mode", ["proper", "noncrossing"])
-def test_deep_path_reconstructs_without_recursion(sawtooth_400, mode):
-    p = min_gtd_exact(sawtooth_400, mode)
-    assert p.size == 400
-    assert validate_partition(sawtooth_400.drawing, p).ok
+def test_deep_path_reconstructs_without_recursion(sawtooth_400, sawtooth_1000,
+                                                  mode):
+    for rt, size in ((sawtooth_400, 400), (sawtooth_1000, 1000)):
+        p = min_gtd_exact(rt, mode)
+        assert p.size == size
+        assert validate_partition(rt.drawing, p).ok
 
 
 def test_exact_agrees_with_oracle_on_corpus(tree_corpus):
