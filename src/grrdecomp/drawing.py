@@ -22,6 +22,7 @@ from .geometry import (
     Segment,
     improper_contact,
     lattice,
+    segment_intersection,
     slab_projections,
 )
 
@@ -115,9 +116,10 @@ def validate_drawing(vertices: Iterable[tuple[int, Point]],
             raise DuplicateEdgeError(f"edge {u}-{v} repeated")
         seen_edges.add(key)
     d = Drawing(vlist, elist)
-    bad = improper_contact([d.segment(i) for i in range(d.n_edges)])
+    bad = improper_contact(d.lattice, d.edges)
     if bad is not None:
-        i, j, meet = bad
+        i, j = bad
+        meet = segment_intersection(d.segment(i), d.segment(j))
         if isinstance(meet, Segment):
             raise OverlappingEdgesError(f"edges {i} and {j} overlap")
         raise CrossingEdgesError(f"edges {i} and {j} cross at {meet}")
@@ -267,16 +269,17 @@ def subdivide(d: Drawing) -> SubdividedDrawing:
     the clip in analysis._slab_witness. Landings on f's endpoints and f
     parallel to the normal lines cut nothing.
     """
-    segs = [d.segment(i) for i in range(d.n_edges)]
+    lat = d.lattice
     cuts: dict[int, set[Fraction]] = {i: set() for i in range(d.n_edges)}
-    for e_idx, se in enumerate(segs):
-        for f_idx, sf in enumerate(segs):
+    for e_idx, (ea, eb) in enumerate(d.edges):
+        for f_idx, (fa, fb) in enumerate(d.edges):
             if f_idx == e_idx:
                 continue
-            s0, s1, dd = slab_projections(se.a, se.b, sf.a, sf.b)
+            s0, s1, dd = slab_projections(lat[ea], lat[eb], lat[fa], lat[fb])
             if s0 == s1:
                 continue  # f parallel to the normal lines: no transversal cut
-            for t in (s0 / (s0 - s1), (s0 - dd) / (s0 - s1)):
+            # the roots are ratios of lattice integers, the same on any scale
+            for t in (Fraction(s0, s0 - s1), Fraction(s0 - dd, s0 - s1)):
                 if 0 < t < 1:
                     cuts[f_idx].add(t)
     vertices = [(vid, d.points[vid]) for vid in d.vertex_ids]
@@ -284,7 +287,7 @@ def subdivide(d: Drawing) -> SubdividedDrawing:
     new_edges: list[tuple[int, int]] = []
     origin: dict[int, tuple[int, Fraction, Fraction]] = {}
     for e_idx, (u, v) in enumerate(d.edges):
-        seg = segs[e_idx]
+        seg = d.segment(e_idx)
         prev_vid, prev_t = u, Fraction(0)
         for t in sorted(cuts[e_idx]):
             vid = next_id

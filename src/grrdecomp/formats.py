@@ -3,7 +3,8 @@
 Coordinates are exact rationals serialized as strings ("1/3", "-2");
 integers and decimal numbers are accepted on input, with decimal
 numbers read at face value (0.1 means one tenth) and non-finite ones
-(Infinity, NaN, 1e400) rejected. parse and serialize are inverses on
+(Infinity, NaN, 1e400) rejected, as are strings with a decimal exponent
+beyond geometry.MAX_DECIMAL_EXPONENT. parse and serialize are inverses on
 everything this package produces.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 from .drawing import Drawing, SubdividedDrawing, subdivide, validate_drawing
 from .errors import FormatError
-from .geometry import Point, Polygon
+from .geometry import Point, Polygon, frac
 from .polydecomp import PolygonDecomposition, TriangulatedPolygon
 from .treedecomp import CONTACT_MODES, Partition
 
@@ -31,7 +32,7 @@ def _coord(value, where: str) -> Fraction:
         raise FormatError(f"{where}: expected a finite number, got {value}")
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return frac(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"{where}: bad rational {value!r}") from exc
     raise FormatError(f"{where}: expected a number, got {value!r}")

@@ -3,8 +3,8 @@
 Every coordinate is a fractions.Fraction and every predicate is decided
 exactly; nothing in this module touches floating point. Floats are
 rejected at construction time so binary rounding can never leak in.
-Drawings and polygons also keep their vertices on an integer lattice
-(lattice()); dot, cross, slab_projections, hp, in_hp and
+Each drawing and polygon also maps its vertices once onto an integer
+lattice (lattice()); dot, cross, slab_projections, hp, in_hp and
 strip_meets_open_triangle run unchanged on either form.
 """
 from __future__ import annotations
@@ -18,13 +18,26 @@ from .errors import NotCounterclockwiseError, NotSimplePolygonError
 
 Coord = Union[int, str, Fraction]
 
+# Python's int-string digit limit, which json applies to integer literals
+MAX_DECIMAL_EXPONENT = 4300
+
 
 def frac(value: Coord) -> Fraction:
-    """Coerce an int, Fraction, or decimal/ratio string to a Fraction."""
+    """Coerce an int, Fraction, or decimal/ratio string to a Fraction.
+
+    A decimal exponent beyond MAX_DECIMAL_EXPONENT raises ValueError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"exact coordinate expected, got {value!r}")
+    if isinstance(value, str) and "e" in value.lower():
+        try:
+            exponent = int(value.lower().rpartition("e")[2])
+        except ValueError:
+            exponent = 0  # not an exponent: Fraction names the fault
+        if abs(exponent) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
     return Fraction(value)
 
 
@@ -225,21 +238,18 @@ def _improper_pair(a, b, c, d) -> bool:
             or (o4 == 0 and _in_box(b, c, d)))
 
 
-def improper_contact(segs: Sequence[Segment]):
-    """First pair of segments that meets other than in one common endpoint.
+def improper_contact(lat, pairs: Sequence[tuple]):
+    """Smallest index pair i < j of segments that meet other than in one
+    common endpoint, or None.
 
-    Returns None, or (i, j, meet) for the smallest index pair i < j at
-    fault, where meet is segment_intersection(segs[i], segs[j]): the
-    crossing Point or the overlap Segment. Every segment must have two
-    distinct endpoints. The endpoints are scaled onto one integer
-    lattice. A sweep over the left ends visits only pairs whose closed
-    x-ranges overlap, and decides a pair with _improper_pair only if
-    their closed y-ranges overlap too; segment_intersection runs only on
-    the pair at fault.
+    lat maps vertex keys to LatticePoints, as Drawing.lattice and
+    Polygon.lattice do, and pairs[i] holds the keys of segment i's two
+    distinct endpoints. A sweep over the left ends visits only pairs
+    whose closed x-ranges overlap, and decides a pair with _improper_pair
+    only if their closed y-ranges overlap too.
     """
-    n = len(segs)
-    lat = lattice(q for s in segs for q in (s.a, s.b))
-    ends = [lat[2 * i:2 * i + 2] for i in range(n)]
+    n = len(pairs)
+    ends = [(lat[a], lat[b]) for a, b in pairs]
     lo = [min(a.x, b.x) for a, b in ends]
     hi = [max(a.x, b.x) for a, b in ends]
     ylo = [min(a.y, b.y) for a, b in ends]
@@ -257,10 +267,7 @@ def improper_contact(segs: Sequence[Segment]):
                 continue
             pair = (min(i, j), max(i, j))
             best = min(best, pair) if best else pair
-    if best is None:
-        return None
-    i, j = best
-    return i, j, segment_intersection(segs[i], segs[j])
+    return best
 
 
 # -- halfplanes ---------------------------------------------------------------
@@ -329,7 +336,8 @@ def strip_meets_open_triangle(a, b, c, t0, t1, t2) -> bool:
 class Polygon:
     """Simple polygon with counterclockwise boundary, validated on build.
 
-    lattice holds the vertices on one integer lattice, in boundary order.
+    lattice holds the vertices on one integer lattice, in boundary order;
+    the repeat, simplicity and orientation checks are decided on it.
     """
 
     __slots__ = ("points", "n", "lattice")
@@ -338,27 +346,25 @@ class Polygon:
         pts = tuple(points)
         if len(pts) < 3:
             raise NotSimplePolygonError("polygon needs at least 3 vertices")
-        if len(set(pts)) != len(pts):
-            raise NotSimplePolygonError("polygon repeats a vertex")
         self.points = pts
         self.n = n = len(pts)
-        bad = improper_contact(self.edges())
+        self.lattice = lat = lattice(pts)
+        if len(set(lat)) != n:
+            raise NotSimplePolygonError("polygon repeats a vertex")
+        bad = improper_contact(lat, [(i, (i + 1) % n) for i in range(n)])
         if bad is not None:
-            i, j, meet = bad
+            i, j = bad
+            meet = segment_intersection(self.edge(i), self.edge(j))
             how = ("overlap" if isinstance(meet, Segment)
                    else f"intersect at {meet}")
             raise NotSimplePolygonError(f"boundary edges {i} and {j} {how}")
-        area2 = sum(cross(pts[i], pts[(i + 1) % n]) for i in range(n))
+        area2 = sum(cross(lat[i], lat[(i + 1) % n]) for i in range(n))
         if area2 <= 0:
             raise NotCounterclockwiseError(
                 "polygon boundary must be counterclockwise")
-        self.lattice = lattice(pts)
 
     def edge(self, i: int) -> Segment:
         return Segment(self.points[i], self.points[(i + 1) % self.n])
-
-    def edges(self) -> list[Segment]:
-        return [self.edge(i) for i in range(self.n)]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and self.points == other.points

@@ -14,6 +14,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import BudgetExceededError, NotATreeError
 from .geometry import frac
 
+EXACT_EDGE_BUDGET = 25  # the most tree edges solve_exact_small searches
+
 
 def _canon(u, v) -> tuple:
     return (u, v) if u <= v else (v, u)
@@ -163,9 +165,10 @@ def multicut_weight(inst: MulticutInstance, cut) -> Fraction:
 
 def solve_exact_small(inst: MulticutInstance) -> Cut:
     """Minimum-weight multicut by branch and bound; only for small trees."""
-    if inst.n_edges > 25:
+    if inst.n_edges > EXACT_EDGE_BUDGET:
         raise BudgetExceededError(
-            f"exact multicut limited to 25 edges, got {inst.n_edges}")
+            f"exact multicut limited to {EXACT_EDGE_BUDGET} edges, "
+            f"got {inst.n_edges}")
     paths = [frozenset(inst.path_edges(s, t)) for s, t in inst.terminal_pairs]
     if not paths:
         return _make_cut(inst, ())

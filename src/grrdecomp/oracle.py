@@ -42,6 +42,7 @@ from .polydecomp import TriangulatedPolygon, build_dual_tree
 from .treedecomp import CONTACT_MODES, Partition
 
 ORACLE_EDGE_BUDGET = 10
+_SEED_WINDOW = 6  # random polygons start from a triangle in [-6, 6]^2
 
 
 # -- exhaustive tree decompositions ---------------------------------------------
@@ -242,13 +243,11 @@ def chord_property_oracle(points) -> bool:
 
 # -- seeded random instances ------------------------------------------------------
 
-def random_tree_drawing(rng: random.Random, n_edges: int,
-                        span: int | None = None) -> Drawing:
+def random_tree_drawing(rng: random.Random, n_edges: int) -> Drawing:
     """A random plane straight-line tree drawing on an integer grid."""
     if n_edges < 1:
         raise InputError("need at least one edge")
-    if span is None:
-        span = max(8, 2 * n_edges)
+    span = max(8, 2 * n_edges)
 
     def grid_point() -> LatticePoint:
         return LatticePoint(rng.randint(-span, span), rng.randint(-span, span))
@@ -302,8 +301,8 @@ def random_connected_subtree(d: Drawing, rng: random.Random) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def random_triangulated_polygon(rng: random.Random, n_triangles: int,
-                                window: int = 6) -> TriangulatedPolygon:
+def random_triangulated_polygon(rng: random.Random, n_triangles: int
+                                ) -> TriangulatedPolygon:
     """Grow a random triangulated simple polygon by gluing ear triangles.
 
     Every candidate glue is validated by rebuilding the full
@@ -314,8 +313,8 @@ def random_triangulated_polygon(rng: random.Random, n_triangles: int,
         raise InputError("need at least one triangle")
     for _ in range(400):
         while True:
-            seed_pts = [Point(frac(rng.randint(-window, window)),
-                              frac(rng.randint(-window, window)))
+            seed_pts = [Point(frac(rng.randint(-_SEED_WINDOW, _SEED_WINDOW)),
+                              frac(rng.randint(-_SEED_WINDOW, _SEED_WINDOW)))
                         for _ in range(3)]
             if orientation(*seed_pts) != 0:
                 break

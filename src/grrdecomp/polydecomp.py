@@ -21,8 +21,14 @@ from .errors import (
     InvalidTriangulationError,
     PieceNotSimpleError,
 )
-from .geometry import Polygon, Segment, improper_contact, orientation
-from .multicut import Cut, MulticutInstance, approx_gvy, solve_exact_small
+from .geometry import Polygon, improper_contact, orientation
+from .multicut import (
+    EXACT_EDGE_BUDGET,
+    Cut,
+    MulticutInstance,
+    approx_gvy,
+    solve_exact_small,
+)
 
 
 class TriangulatedPolygon:
@@ -140,11 +146,11 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
         raise IncompleteTriangulationError(
             f"{len(canon)} diagonals given, a triangulation of a "
             f"{n}-gon needs {n - 3}")
-    pts = polygon.points
-    segs = [Segment(pts[a], pts[b]) for a, b in canon]
-    bad = improper_contact(polygon.edges() + segs)
+    lat = polygon.lattice
+    boundary = [(i, (i + 1) % n) for i in range(n)]
+    bad = improper_contact(lat, boundary + canon)
     if bad is not None:
-        i, j, _ = bad
+        i, j = bad
         if i < n:
             raise CrossingDiagonalsError(
                 f"diagonal {canon[j - n]} meets boundary edge {i}")
@@ -154,13 +160,13 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
     # or wholly outside: inside iff it leaves its first endpoint into the
     # interior angle there
     for d in canon:
-        if not _in_cone(polygon.lattice, d[0], d[1]):
+        if not _in_cone(lat, d[0], d[1]):
             raise CrossingDiagonalsError(f"diagonal {d} leaves the polygon")
 
     raw = _split_triangles(list(range(n)), frozenset(canon))
     tris = []
     for t in raw:
-        if orientation(pts[t[0]], pts[t[1]], pts[t[2]]) <= 0:
+        if orientation(lat[t[0]], lat[t[1]], lat[t[2]]) <= 0:
             raise InvalidTriangulationError(f"triangle {t} is not ccw")
         k = min(range(3), key=lambda i: t[i])
         tris.append((t[k], t[(k + 1) % 3], t[(k + 2) % 3]))
@@ -312,7 +318,7 @@ def decompose_polygon_exact_small(tp: TriangulatedPolygon
     if not tp.dual_edges:
         return PolygonDecomposition((frozenset(range(tp.n_triangles)),),
                                     frozenset())
-    if len(tp.dual_edges) > 25:
+    if len(tp.dual_edges) > EXACT_EDGE_BUDGET:
         raise BudgetExceededError(
             f"{len(tp.dual_edges)} dual edges exceed the exact-search budget")
     return _decomposition_from_cut(tp, solve_exact_small(_dual_multicut(tp)))

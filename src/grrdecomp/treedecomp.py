@@ -43,27 +43,10 @@ CONTACT_MODES = ("proper", "noncrossing", "any")
 
 # -- all-pairs increasing-chord paths ------------------------------------------
 
-class PathICTable:
-    """O(1) lookups of "is the unique tree path s-t increasing-chord".
-
-    Row s is the set of targets t with IC(s, t); a vertex not in the
-    drawing raises KeyError.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: dict[int, set[int]]):
-        self._table = table
-
-    def query(self, s: int, t: int) -> bool:
-        row = self._table[s]
-        if t not in self._table:
-            raise KeyError(t)
-        return t in row
-
-
-def precompute_path_ic(rt: RootedTree) -> PathICTable:
-    """Fill the all-pairs table with O(1) work per ordered vertex pair.
+def precompute_path_ic(rt: RootedTree) -> dict[int, set[int]]:
+    """The all-pairs increasing-chord rows, with O(1) work per ordered
+    vertex pair: row s is the set of targets t whose tree path s-t is
+    increasing-chord.
 
     A path is increasing-chord iff it is self-approaching both ways:
     every vertex lies in hp(a, b) of each directed path edge a-b that
@@ -75,17 +58,16 @@ def precompute_path_ic(rt: RootedTree) -> PathICTable:
         IC(s, t) = IC(s, t-) and IC(s+, t)
                    and t in hp(s, s+) and s in hp(t, t-).
 
-    Adjacent pairs and IC(v, v) are True. Row s is the set of targets t
-    with IC(s, t), filled by one walk away from s per neighbour s+,
-    which reaches t right after t-, so IC(s, t-) is already known. When
-    IC(s, t) is false the walk stops there: every t' beyond t needs
-    IC(s, t'-) and is false too, so a row holds only its true targets
-    and the walk visits nothing else. Sources in postorder first walk
-    down into each child's subtree: row s+ was filled there by the
-    child's own downward walks. Then sources in reversed postorder walk
-    out through their parent, whose row is by then full. The walks hold
-    O(n) frames, and the 2(n-1) directed-edge halfplanes are built once,
-    on the drawing's integer lattice.
+    Adjacent pairs and IC(v, v) are True. Row s is filled by one walk
+    away from s per neighbour s+, which reaches t right after t-, so
+    IC(s, t-) is already known. When IC(s, t) is false the walk stops
+    there: every t' beyond t needs IC(s, t'-) and is false too, so a row
+    holds only its true targets and the walk visits nothing else.
+    Sources in postorder first walk down into each child's subtree: row
+    s+ was filled there by the child's own downward walks. Then sources
+    in reversed postorder walk out through their parent, whose row is by
+    then full. The walks hold O(n) frames, and the 2(n-1) directed-edge
+    halfplanes are built once, on the drawing's integer lattice.
     """
     d = rt.drawing
     lat = d.lattice
@@ -112,7 +94,7 @@ def precompute_path_ic(rt: RootedTree) -> PathICTable:
     for s in reversed(rt.postorder):
         if rt.parent[s] is not None:
             walk(s, rt.parent[s])
-    return PathICTable(table)
+    return table
 
 
 # -- partitions and their validation -------------------------------------------
@@ -277,11 +259,12 @@ class DPTables:
     nor joined has no root component and only collects apart entries.
     In proper mode sigma_m[u][(a, b)] is a chain: its apart entries are
     sigma_m[u][(a, b - 1)] (the empty run's entry when b == a) and child
-    b's smallest tau entry, so each run costs O(1).
+    b's smallest tau entry, so each run costs O(1). pic holds the rows of
+    precompute_path_ic.
     """
     mode: str
     rt: RootedTree
-    pic: PathICTable
+    pic: dict[int, set[int]]
     tau: dict[int, dict[tuple[int, int], tuple[int, tuple]]] = field(
         default_factory=dict)
     tau_best: dict[int, tuple[int, tuple[int, int]]] = field(
@@ -380,9 +363,8 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
         raise ValueError(
             f"exact decomposition supports proper and noncrossing, "
             f"not {mode!r}")
-    pic = precompute_path_ic(rt)
-    ic = pic._table     # rows read directly in the join's inner loop
-    t = DPTables(mode=mode, rt=rt, pic=pic)
+    ic = precompute_path_ic(rt)
+    t = DPTables(mode=mode, rt=rt, pic=ic)
 
     for u in rt.postorder:
         if u == rt.root:

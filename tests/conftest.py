@@ -35,8 +35,11 @@ from grrdecomp.geometry import (
     Polygon,
     _improper_pair,
     dot,
+    improper_contact,
+    lattice,
     on_segment,
     pt,
+    segment_intersection,
     sq_dist,
 )
 from grrdecomp.multicut import approx_gvy, solve_exact_small
@@ -167,10 +170,10 @@ def count_calls(monkeypatch):
         calls = 0
         real = getattr(owner, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         for target in (owner, *modules):
             if getattr(target, name, None) is real:
@@ -199,18 +202,31 @@ def tree_path_points(d, edge_subset, a, b):
 
 
 def assert_table_matches_direct_predicate(d, label=""):
-    """The path-IC table of d, rooted at its default root, agrees with
+    """The path-IC rows of d, rooted at its default root, agree with
     path_increasing_chord on the tree path of every vertex pair."""
-    table = precompute_path_ic(root_tree(d, default_root(d)))
+    rows = precompute_path_ic(root_tree(d, default_root(d)))
     all_edges = range(d.n_edges)
     for s in d.vertex_ids:
-        assert table.query(s, s), (label, s)
+        assert s in rows[s], (label, s)
         for t in d.vertex_ids:
             if s < t:
                 want = path_increasing_chord(
                     tree_path_points(d, all_edges, s, t))
-                assert table.query(s, t) == want, (label, s, t)
-                assert table.query(t, s) == want, (label, t, s)
+                assert (t in rows[s]) == want, (label, s, t)
+                assert (s in rows[t]) == want, (label, t, s)
+
+
+def segment_contact(segs):
+    """improper_contact on a list of Segments: None, or (i, j, meet) for
+    the smallest pair at fault, where meet is segment_intersection of the
+    two, the crossing Point or the overlap Segment."""
+    lat = lattice(q for s in segs for q in (s.a, s.b))
+    pairs = [(2 * i, 2 * i + 1) for i in range(len(segs))]
+    bad = improper_contact(lat, pairs)
+    if bad is None:
+        return None
+    i, j = bad
+    return i, j, segment_intersection(segs[i], segs[j])
 
 
 def witness_defects(seg_e, seg_f, w):

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior, run in-process."""
 
 import argparse
+import hashlib
 import json
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from grrdecomp.formats import (
     parse_decomposition,
     parse_drawing,
     parse_partition,
+    parse_polygon,
     serialize_decomposition,
     serialize_drawing,
     serialize_polygon,
@@ -28,7 +32,7 @@ from grrdecomp.formats import (
     serialize_triangulated,
 )
 from grrdecomp.geometry import Polygon, pt
-from grrdecomp.polydecomp import decompose_polygon_exact_small
+from grrdecomp.polydecomp import build_dual_tree, decompose_polygon_exact_small
 from grrdecomp.treedecomp import min_gtd_exact, min_gtd_with_splits
 
 
@@ -330,6 +334,24 @@ def test_integer_literal_beyond_the_digit_limit_exits_1(files, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["drawing", "route"])
+def test_huge_decimal_exponent_exits_1_at_once(files, capsys, case):
+    if case == "drawing":
+        text = _with_literal(serialize_drawing(p_ic()), '"1e999999999"',
+                             ("vertices", 1, "x"))
+        argv = ["check-drawing", files("d.json", text)]
+        want = "error: vertices[1].x: bad rational '1e999999999'\n"
+    else:
+        argv = ["route", files("p.json", serialize_polygon(lshape_polygon())),
+                "--from=1e999999999,0", "--to=1,1"]
+        want = ("error: expected a point as x,y rationals, "
+                "got '1e999999999,0'\n")
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", want)
+
+
 def _fragment_partition(edge, t_from='"0"'):
     return ('{"contacts": "proper", "components": [[{"edge": %s, '
             '"from": %s, "to": "1"}]]}' % (edge, t_from))
@@ -351,3 +373,54 @@ def test_non_finite_fragment_parameter_exits_1(files, capsys):
     assert main(["render", f, "--partition", part]) == 1
     assert capsys.readouterr() == (
         "", "error: from: expected a finite number, got nan\n")
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fixture_runs(name, text):
+    """argv lists for every subcommand and mode that applies to a fixture
+    file, with partition and decomposition overlays written alongside."""
+    f = f"{name}.json"
+    part = f"{name}.part.json"
+    if "edges" in json.loads(text):
+        runs = [["check-drawing", f], ["subdivide", f], ["render", f]]
+        for contacts in ("proper", "noncrossing"):
+            for mode in ("exact", "approx2"):
+                for splits in ([], ["--allow-splits"]):
+                    runs.append(["decompose-tree", f, "--contacts", contacts,
+                                 "--mode", mode, *splits])
+        for splits in ([], ["--allow-splits"]):
+            runs.append(["decompose-tree", f, *splits, "-o", part])
+            runs.append(["render", f, "--partition", part])
+        return runs
+    poly, diags = parse_polygon(text)
+    tp = build_dual_tree(poly, diags)
+    ends = []
+    for tri in (tp.triangles[0], tp.triangles[-1]):
+        a, b, c = (poly.points[k] for k in tri)
+        ends.append(f"{(a.x + b.x + c.x) / 3},{(a.y + b.y + c.y) / 3}")
+    runs = [["check-polygon", f], ["render", f],
+            ["route", f, f"--from={ends[0]}", f"--to={ends[1]}"]]
+    for mode in ("approx2", "exact-small"):
+        runs.append(["decompose-polygon", f, "--mode", mode])
+        runs.append(["decompose-polygon", f, "--mode", mode, "-o", part])
+        runs.append(["render", f, "--partition", part])
+    return runs
+
+
+def test_fixture_transcripts_are_golden(tmp_path, monkeypatch, capsys):
+    """sha256 over argv, exit code, stdout and stderr of every grr
+    subcommand and mode on every fixture file; a change in any verdict,
+    count, payload or message changes it."""
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for src in sorted(FIXTURE_DIR.glob("*.json")):
+        text = src.read_text(encoding="utf-8")
+        (tmp_path / src.name).write_text(text, encoding="utf-8")
+        for argv in _fixture_runs(src.stem, text):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            h.update(repr((argv, code, out, err)).encode())
+    assert h.hexdigest() == (
+        "e25c7981dd62a6603ddbf09ce2a9206cb0cda411f7d52765d15f0790a15366a4")

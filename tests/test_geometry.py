@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import segment_contact
 from grrdecomp.errors import NotCounterclockwiseError, NotSimplePolygonError
 from grrdecomp.geometry import (
     Point,
@@ -13,7 +14,6 @@ from grrdecomp.geometry import (
     dot,
     frac,
     hp,
-    improper_contact,
     in_hp,
     on_segment,
     orientation,
@@ -36,6 +36,14 @@ def test_frac_accepts_exact_forms():
 def test_frac_rejects_inexact_forms(bad):
     with pytest.raises(TypeError):
         frac(bad)
+
+
+def test_frac_bounds_the_decimal_exponent():
+    assert frac("1e4300") == 10 ** 4300
+    assert frac("-2.5E-4300") == Fraction(-5, 2 * 10 ** 4300)
+    for bad in ("1e4301", "1E-4301", "1e999_999_999", " 3.5e+99999 "):
+        with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+            frac(bad)
 
 
 def test_point_arithmetic_stays_rational():
@@ -132,30 +140,30 @@ def _seg(x1, y1, x2, y2):
 
 def test_improper_contact_vertical_segments_with_tied_x():
     low, high, far = _seg(1, 0, 1, 2), _seg(1, 2, 1, 4), _seg(1, 5, 1, 6)
-    assert improper_contact([low, high, far]) is None
-    assert improper_contact([low, far, _seg(1, 1, 1, 3)]) == (
+    assert segment_contact([low, high, far]) is None
+    assert segment_contact([low, far, _seg(1, 1, 1, 3)]) == (
         0, 2, _seg(1, 1, 1, 2))
     # closed x-ranges that only touch are still tested
-    assert improper_contact([_seg(0, 0, 1, 2), _seg(2, 0, 3, 0),
-                             _seg(1, 0, 1, 3)]) == (0, 2, pt(1, 2))
+    assert segment_contact([_seg(0, 0, 1, 2), _seg(2, 0, 3, 0),
+                            _seg(1, 0, 1, 3)]) == (0, 2, pt(1, 2))
 
 
 def test_improper_contact_at_a_common_endpoint():
     base = _seg(0, 0, 2, 0)
-    assert improper_contact([base, _seg(0, 0, -1, 0)]) is None
-    assert improper_contact([base, _seg(0, 0, 1, 1)]) is None
-    assert improper_contact([base, _seg(2, 0, 1, 0)]) == (
+    assert segment_contact([base, _seg(0, 0, -1, 0)]) is None
+    assert segment_contact([base, _seg(0, 0, 1, 1)]) is None
+    assert segment_contact([base, _seg(2, 0, 1, 0)]) == (
         0, 1, _seg(1, 0, 2, 0))
-    assert improper_contact([_seg(0, 0, 1, 0), base]) == (
+    assert segment_contact([_seg(0, 0, 1, 0), base]) == (
         0, 1, _seg(0, 0, 1, 0))
     # two common endpoints: the same segment
-    assert improper_contact([base, _seg(2, 0, 0, 0)]) == (0, 1, base)
+    assert segment_contact([base, _seg(2, 0, 0, 0)]) == (0, 1, base)
 
 
 def test_improper_contact_t_junction_returns_the_crossing_point():
-    assert improper_contact([_seg(0, 0, 4, 0), _seg(2, 0, 2, 3)]) == (
+    assert segment_contact([_seg(0, 0, 4, 0), _seg(2, 0, 2, 3)]) == (
         0, 1, pt(2, 0))
-    assert improper_contact([_seg(2, 3, 2, 0), _seg(4, 0, 0, 0)]) == (
+    assert segment_contact([_seg(2, 3, 2, 0), _seg(4, 0, 0, 0)]) == (
         0, 1, pt(2, 0))
 
 
@@ -163,9 +171,9 @@ def test_improper_contact_names_the_smallest_pair():
     # the sweep meets the crossing of 1 and 2 first; (0, 3) is smaller
     segs = [_seg(10, 0, 12, 2), _seg(0, 0, 2, 2), _seg(0, 2, 2, 0),
             _seg(10, 2, 12, 0)]
-    assert improper_contact(segs) == (0, 3, pt(11, 1))
-    assert improper_contact(segs[1:3]) == (0, 1, pt(1, 1))
-    assert improper_contact([]) is None
+    assert segment_contact(segs) == (0, 3, pt(11, 1))
+    assert segment_contact(segs[1:3]) == (0, 1, pt(1, 1))
+    assert segment_contact([]) is None
 
 
 def test_halfplane_predicate():

@@ -14,14 +14,18 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_table_matches_direct_predicate
+from conftest import (
+    assert_table_matches_direct_predicate,
+    segment_contact,
+)
+from grrdecomp import drawing, geometry
 from grrdecomp.analysis import (
     ConflictWitness,
     _slab_witness,
     drawing_edges_conflict,
     polygon_edges_conflict,
 )
-from grrdecomp.drawing import Drawing
+from grrdecomp.drawing import Drawing, validate_drawing
 from grrdecomp.errors import GRRError
 from grrdecomp.geometry import (
     LatticePoint,
@@ -35,6 +39,7 @@ from grrdecomp.geometry import (
     lattice,
     segment_intersection,
 )
+from grrdecomp.polydecomp import build_dual_tree
 
 BIG = 10 ** 30
 DENOMS = (1, 2, 3, 7, 12, 997, 10 ** 6 + 3, 2 ** 61 - 1)
@@ -231,4 +236,28 @@ def test_improper_contact_matches_the_fraction_rule(segs):
     if bad:
         i, j = bad[0]
         want = (i, j, segment_intersection(segs[i], segs[j]))
-    assert improper_contact(segs) == want
+    assert segment_contact(segs) == want
+
+
+def test_each_drawing_and_polygon_is_scaled_once(count_calls):
+    calls = count_calls(geometry, "lattice", drawing)
+    validate_drawing([(0, Point(0, 0)), (1, Point(Fraction(1, 3), 1)),
+                      (2, Point(2, Fraction(1, 7)))], [(0, 1), (0, 2)])
+    assert calls() == 1
+    fan = Polygon(Point(i, Fraction(i * i, 5)) for i in range(8))
+    assert calls() == 2
+    build_dual_tree(fan, [(0, k) for k in range(2, 7)])
+    assert calls() == 2
+
+
+def test_improper_contact_builds_no_segment_and_no_fraction(count_calls):
+    n = 300
+    fan = Polygon(Point(i, Fraction(i * i, 3)) for i in range(n))
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [(0, k) for k in range(2, n - 1)] + [(1, 3)]
+    segments = count_calls(Segment, "__init__")
+    fractions = count_calls(Fraction, "__new__")
+    assert improper_contact(fan.lattice, pairs[:-1]) is None
+    # the extra diagonal 1-3 crosses the fan diagonal 0-2
+    assert improper_contact(fan.lattice, pairs) == (n, 2 * n - 3)
+    assert segments() == fractions() == 0
