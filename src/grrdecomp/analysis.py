@@ -34,6 +34,7 @@ from .geometry import (
     point_in_polygon,
     segment_intersection,
     slab_projections,
+    slab_row,
     strip_meets_open_triangle,
 )
 
@@ -73,7 +74,7 @@ class ConflictWitness:
 
 def _misses_slab(s0, s1, dd) -> bool:
     """Does f stay outside the open slab of e, given slab_projections of
-    f onto e, on Points or on LatticePoints?
+    f onto e, on Points or LatticePoints, or e's slab_row at f's ends?
 
     Without an outward cut this is exactly when _slab_witness finds no
     witness: the projections sweep [min(s0, s1), max(s0, s1)], which
@@ -153,21 +154,26 @@ def first_conflict(conflict, obj, indices) -> Optional[tuple]:
     """The first (i, j, witness) over ordered pairs of distinct indices,
     row by row, where witness = conflict(obj, i, j) is not None; else None.
     conflict is drawing_edges_conflict, polygon_edges_conflict or the
-    witness-free _lattice_conflict."""
+    witness-free _lattice_conflict; the whole-set scans read slab rows."""
     tests = ((i, j, conflict(obj, i, j))
              for i in indices for j in indices if i != j)
     return next((t for t in tests if t[2] is not None), None)
 
 
-def _unordered_conflicts(conflict, obj, n: int) -> tuple[tuple[int, int], ...]:
-    """Pairs i < j of range(n) that conflict in at least one direction."""
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                 if conflict(obj, i, j) or conflict(obj, j, i))
+def _row_conflicts(ends, rows) -> tuple[tuple[int, int], ...]:
+    """Pairs i < j, in order, of edges at positions ends where one meets
+    the open slab of the other, read from each edge's slab_row in rows."""
+    pairs: set[tuple[int, int]] = set()
+    for e, (row, dd) in enumerate(rows):
+        for f, (a, b) in enumerate(ends):
+            if f != e and not _misses_slab(row[a], row[b], dd):
+                pairs.add((e, f) if e < f else (f, e))
+    return tuple(sorted(pairs))
 
 
 def conflicting_pairs(d: Drawing) -> tuple[tuple[int, int], ...]:
     """Unordered edge pairs that conflict in at least one direction."""
-    return _unordered_conflicts(drawing_edges_conflict, d, d.n_edges)
+    return _row_conflicts(*d.slab_rows())
 
 
 def polygon_edges_conflict(poly: Polygon, e: int, f: int
@@ -202,7 +208,12 @@ def polygon_is_grr(poly: Polygon) -> Optional[ConflictWitness]:
 
 
 def polygon_conflicting_edge_pairs(poly: Polygon) -> tuple[tuple[int, int], ...]:
-    return _unordered_conflicts(polygon_edges_conflict, poly, poly.n)
+    """Unordered boundary edge pairs that conflict in some direction."""
+    lat, n = poly.lattice, poly.n
+    ends = [(i, (i + 1) % n) for i in range(n)]
+    near = _row_conflicts(ends, (slab_row(lat, a, b) for a, b in ends))
+    return tuple((i, j) for i, j in near if polygon_edges_conflict(poly, i, j)
+                 or polygon_edges_conflict(poly, j, i))
 
 
 def _dual_step_toward(tp, i: int, j: int) -> int:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
+    BudgetExceededError,
     CrossingEdgesError,
     DuplicateEdgeError,
     DuplicateVertexError,
@@ -23,8 +24,10 @@ from .geometry import (
     improper_contact,
     lattice,
     segment_intersection,
-    slab_projections,
+    slab_row,
 )
+
+SUBDIVISION_EDGE_BUDGET = 20_000  # the most edges subdivide refines to
 
 
 class Drawing:
@@ -34,7 +37,7 @@ class Drawing:
     input and only builds the derived lookup tables. lattice maps each
     vertex id to its point on the drawing's integer lattice
     (geometry.lattice); clockwise_order builds the rotation system from
-    it on first read.
+    it on first read, and slab_rows projects it onto every edge.
     """
 
     __slots__ = ("vertex_ids", "points", "edges", "adjacency", "lattice",
@@ -54,6 +57,14 @@ class Drawing:
         self.lattice = dict(zip(self.vertex_ids, lattice(
             self.points[vid] for vid in self.vertex_ids)))
         self._rotation: Optional[dict[int, tuple[int, ...]]] = None
+
+    def slab_rows(self):
+        """(ends, rows): each edge's endpoint positions in lattice order,
+        and the geometry.slab_row of the lattice onto each edge in turn."""
+        pos = {vid: k for k, vid in enumerate(self.lattice)}
+        ends = [(pos[u], pos[v]) for u, v in self.edges]
+        lat = tuple(self.lattice.values())
+        return ends, (slab_row(lat, a, b) for a, b in ends)
 
     def point(self, vid: int) -> Point:
         return self.points[vid]
@@ -94,15 +105,17 @@ def validate_drawing(vertices: Iterable[tuple[int, Point]],
     """
     vlist = [(int(vid), p) for vid, p in vertices]
     seen_ids: set[int] = set()
-    seen_pts: dict[Point, int] = {}
+    # Fractions are normalised: equal positions have equal int keys
+    seen_pts: dict[tuple[int, int, int, int], int] = {}
     for vid, p in vlist:
         if vid in seen_ids:
             raise DuplicateVertexError(f"vertex id {vid} repeated")
-        if p in seen_pts:
+        key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+        if key in seen_pts:
             raise DuplicateVertexError(
-                f"vertices {seen_pts[p]} and {vid} share position {p}")
+                f"vertices {seen_pts[key]} and {vid} share position {p}")
         seen_ids.add(vid)
-        seen_pts[p] = vid
+        seen_pts[key] = vid
     elist = [(int(u), int(v)) for u, v in edges]
     seen_edges: set[frozenset[int]] = set()
     for u, v in elist:
@@ -260,45 +273,56 @@ class SubdividedDrawing:
     origin: Mapping[int, tuple[int, Fraction, Fraction]]
 
 
+def _lerp(a: Fraction, b: Fraction, t: Fraction) -> Fraction:
+    # a + (b - a) * t over one denominator, so normalised only once
+    p, q = t.numerator, t.denominator
+    return Fraction(a.numerator * b.denominator * (q - p)
+                    + b.numerator * a.denominator * p,
+                    a.denominator * b.denominator * q)
+
+
 def subdivide(d: Drawing) -> SubdividedDrawing:
     """Split every edge at the normal lines through other edges' endpoints.
 
     For each ordered edge pair (e, f), the lines perpendicular to e through
-    e's endpoints cut f wherever they cross f's relative interior: at the
-    slab roots of geometry.slab_projections in (0, 1), which also bound
-    the clip in analysis._slab_witness. Landings on f's endpoints and f
-    parallel to the normal lines cut nothing.
+    e's endpoints cut f at the slab roots, where f's projection s in e's
+    slab row, or s - dd, changes sign strictly inside f; these also bound
+    the clip in analysis._slab_witness. A refinement beyond
+    SUBDIVISION_EDGE_BUDGET edges raises BudgetExceededError before any
+    vertex is built.
     """
-    lat = d.lattice
-    cuts: dict[int, set[Fraction]] = {i: set() for i in range(d.n_edges)}
-    for e_idx, (ea, eb) in enumerate(d.edges):
-        for f_idx, (fa, fb) in enumerate(d.edges):
-            if f_idx == e_idx:
-                continue
-            s0, s1, dd = slab_projections(lat[ea], lat[eb], lat[fa], lat[fb])
-            if s0 == s1:
-                continue  # f parallel to the normal lines: no transversal cut
+    ends, rows = d.slab_rows()
+    cuts: list[set[Fraction]] = [set() for _ in ends]
+    for row, dd in rows:
+        # e's own row reads (0, dd), which has no strict sign change
+        for (a, b), cut in zip(ends, cuts):
+            s0, s1 = row[a], row[b]
             # the roots are ratios of lattice integers, the same on any scale
-            for t in (Fraction(s0, s0 - s1), Fraction(s0 - dd, s0 - s1)):
-                if 0 < t < 1:
-                    cuts[f_idx].add(t)
+            if s0 < 0 < s1 or s1 < 0 < s0:
+                cut.add(Fraction(s0, s0 - s1))
+            if s0 < dd < s1 or s1 < dd < s0:
+                cut.add(Fraction(s0 - dd, s0 - s1))
+    n_out = len(ends) + sum(map(len, cuts))
+    if n_out > SUBDIVISION_EDGE_BUDGET:
+        raise BudgetExceededError(
+            f"subdivision limited to {SUBDIVISION_EDGE_BUDGET} edges, "
+            f"got {n_out}")
     vertices = [(vid, d.points[vid]) for vid in d.vertex_ids]
     next_id = max(d.vertex_ids) + 1 if d.vertex_ids else 0
     new_edges: list[tuple[int, int]] = []
     origin: dict[int, tuple[int, Fraction, Fraction]] = {}
     for e_idx, (u, v) in enumerate(d.edges):
-        seg = d.segment(e_idx)
+        pu, pv = d.points[u], d.points[v]
         prev_vid, prev_t = u, Fraction(0)
         for t in sorted(cuts[e_idx]):
             vid = next_id
             next_id += 1
-            vertices.append((vid, seg.at(t)))
+            vertices.append((vid, Point(_lerp(pu.x, pv.x, t),
+                                        _lerp(pu.y, pv.y, t))))
             origin[len(new_edges)] = (e_idx, prev_t, t)
             new_edges.append((prev_vid, vid))
             prev_vid, prev_t = vid, t
         origin[len(new_edges)] = (e_idx, prev_t, Fraction(1))
         new_edges.append((prev_vid, v))
     refined = validate_drawing(vertices, new_edges)
-    n, m = d.n_vertices, d.n_edges
-    assert refined.n_vertices <= n + 2 * m * (m - 1)
     return SubdividedDrawing(base=d, drawing=refined, origin=origin)

@@ -133,6 +133,17 @@ def slab_projections(ea: Point, eb: Point, fa: Point, fb: Point
     return dot(fa - ea, de), dot(fb - ea, de), dot(de, de)
 
 
+def slab_row(lat: Sequence[LatticePoint], i: int, j: int
+             ) -> tuple[list[int], int]:
+    """(row, dd) with row[k] = dot(lat[k], de) - dot(lat[i], de), n integer
+    products, and dd = dot(de, de) for de = lat[j] - lat[i]: an edge (a, b)
+    of lat has slab_projections (row[a], row[b], dd) onto lat[i]-lat[j]."""
+    ax, ay = lat[i]
+    dx, dy = lat[j][0] - ax, lat[j][1] - ay
+    base = ax * dx + ay * dy
+    return [x * dx + y * dy - base for x, y in lat], dx * dx + dy * dy
+
+
 @dataclass(frozen=True, slots=True)
 class Segment:
     a: Point

@@ -9,11 +9,14 @@ import pytest
 
 from conftest import (
     grr_polygon_fixtures,
+    sawtooth,
     sun_drawing,
     tree_fixture_drawings,
     tree_path_points,
     witness_defects,
+    zigzag,
 )
+from grrdecomp import analysis, drawing, geometry
 from grrdecomp.analysis import (
     ConflictWitness,
     _slab_witness,
@@ -28,7 +31,7 @@ from grrdecomp.analysis import (
     trace_greedy_path,
     tree_increasing_chord,
 )
-from grrdecomp.drawing import validate_drawing
+from grrdecomp.drawing import subdivide, validate_drawing
 from grrdecomp.errors import (
     InvalidPathFamilyError,
     PointOutsidePolygonError,
@@ -47,7 +50,16 @@ from grrdecomp.fixtures import (
     ushape_polygon,
     ushape_tp,
 )
-from grrdecomp.geometry import Point, Polygon, Segment, cross, dot, pt, sq_dist
+from grrdecomp.geometry import (
+    LatticePoint,
+    Point,
+    Polygon,
+    Segment,
+    cross,
+    dot,
+    pt,
+    sq_dist,
+)
 from grrdecomp.oracle import chord_property_oracle, random_tree_drawing
 from grrdecomp.polydecomp import build_dual_tree
 from grrdecomp.analysis import triangles_conflict
@@ -105,6 +117,49 @@ def test_conflicting_pairs_builds_no_witness_points(count_calls):
     w = ws[1]
     assert w == ConflictWitness(w.e, w.f, w.p, w.hit)
     assert hash(w) == hash(ConflictWitness(w.e, w.f, w.p, w.hit))
+
+
+def _reference_pairs(conflict, obj, n):
+    """The per-pair scan the slab rows replaced: pairs i < j of range(n)
+    that conflict in at least one direction."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                 if conflict(obj, i, j) or conflict(obj, j, i))
+
+
+def test_conflicting_pairs_match_the_per_pair_scan(tree_corpus):
+    rng = random.Random(1313)
+    shapes = [sun_drawing(rng, legs) for legs in (8, 16, 24, 40)]
+    shapes += [zigzag(rng, 30), sawtooth(rng, 30)]
+    drawings = [r["drawing"] for r in tree_corpus["records"]] + shapes
+    # a subdivided 30-edge sawtooth has 827 edges; 8 edges keep it small
+    refine = drawings[:40] + shapes[:3] + [shapes[4], sawtooth(rng, 8)]
+    drawings += [subdivide(d).drawing for d in refine]
+    for d in drawings:
+        assert conflicting_pairs(d) == _reference_pairs(
+            drawing_edges_conflict, d, d.n_edges)
+
+
+def test_polygon_conflicting_pairs_match_the_per_pair_scan(polygon_corpus):
+    polys = [rec["tp"].polygon for rec in polygon_corpus] + [ushape_polygon()]
+    for poly in polys:
+        assert polygon_conflicting_edge_pairs(poly) == _reference_pairs(
+            polygon_edges_conflict, poly, poly.n)
+
+
+def test_whole_drawing_scans_read_one_slab_row_per_edge(count_calls):
+    d = sun_drawing(random.Random(40), 40)
+    projections = count_calls(geometry, "slab_projections", analysis, drawing)
+    subs = count_calls(LatticePoint, "__sub__")
+    conflicting_pairs(d)
+    scan = subs()
+    sd = subdivide(d)
+    refine = subs() - scan
+    # validating the refined drawing subtracts on its own account
+    before = subs()
+    validate_drawing(sd.drawing.points.items(), sd.drawing.edges)
+    validation = subs() - before
+    assert projections() == 0
+    assert scan <= d.n_edges and refine - validation <= d.n_edges
 
 
 def test_normal_through_endpoint_is_not_a_conflict():

@@ -3,13 +3,16 @@
 import argparse
 import hashlib
 import json
+import random
+import re
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from grrdecomp import cli
+from conftest import sawtooth
+from grrdecomp import cli, geometry
 from grrdecomp.cli import main
 from grrdecomp.drawing import default_root, root_tree, subdivide
 from grrdecomp.fixtures import (
@@ -190,6 +193,23 @@ def test_subdivide_writes_refined_drawing(files, capsys, tmp_path):
         got = parse_drawing(fh.read())
     assert got == subdivide(comb_drawing()).drawing
     assert got.n_edges == 11
+
+
+@pytest.mark.parametrize("argv", [["subdivide"],
+                                  ["decompose-tree", "--allow-splits"]])
+def test_oversized_subdivision_exits_1_at_once(files, capsys, count_calls,
+                                               argv):
+    d = sawtooth(random.Random(360), 360)
+    f = files("saw.json", serialize_drawing(d))
+    built = count_calls(geometry.Point, "__post_init__")
+    t0 = time.perf_counter()
+    assert main([argv[0], f, *argv[1:]]) == 1
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(
+        r"error: subdivision limited to 20000 edges, got \d+\n", err)
+    # only the parsed vertices: the budget is checked before any cut vertex
+    assert built() == d.n_vertices
 
 
 def test_render_drawing(files, capsys, tmp_path):

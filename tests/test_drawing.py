@@ -16,7 +16,9 @@ from grrdecomp.drawing import (
     subdivide,
     validate_drawing,
 )
+from conftest import sawtooth
 from grrdecomp.errors import (
+    BudgetExceededError,
     CrossingEdgesError,
     GRRError,
     DuplicateEdgeError,
@@ -43,6 +45,16 @@ def test_validate_drawing_accepts_a_tree():
     assert d.n_vertices == 3 and d.n_edges == 2
     assert d.other_endpoint(0, 0) == 1
     assert d.segment(1).a == pt(2, 0)
+
+
+def test_duplicate_vertex_messages_name_the_first_repeat():
+    # vertex by vertex, the id is checked before the position
+    with pytest.raises(DuplicateVertexError, match=r"^vertex id 0 repeated$"):
+        validate_drawing([(0, pt(0, 0)), (0, pt(0, 0))], [])
+    with pytest.raises(DuplicateVertexError,
+                       match=r"^vertices 0 and 2 share position \(1/2, -3\)$"):
+        validate_drawing([(0, pt("1/2", -3)), (1, pt(1, 0)),
+                          (2, pt(Fraction(2, 4), "-6/2")), (1, pt(5, 5))], [])
 
 
 @pytest.mark.parametrize("vertices,edges,err", [
@@ -286,6 +298,25 @@ def _subdivide_digest(n_trees: int, seed: int) -> str:
 
 def test_subdivide_matches_recorded_corpus():
     assert _subdivide_digest(50, 4077) == SUBDIVIDE_DIGEST
+
+
+def test_subdivide_budget_counts_the_refined_edges(monkeypatch):
+    d = comb_drawing()
+    monkeypatch.setattr(drawing, "SUBDIVISION_EDGE_BUDGET", 11)
+    assert subdivide(d).drawing.n_edges == 11
+    monkeypatch.setattr(drawing, "SUBDIVISION_EDGE_BUDGET", 10)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^subdivision limited to 10 edges, got 11$"):
+        subdivide(d)
+
+
+def test_subdivide_budget_is_checked_before_any_vertex(count_calls):
+    d = sawtooth(random.Random(360), 360)
+    built = count_calls(geometry.Point, "__post_init__")
+    with pytest.raises(BudgetExceededError,
+                       match=r"^subdivision limited to 20000 edges, got \d+$"):
+        subdivide(d)
+    assert built() == 0
 
 
 def test_subdivide_vertex_bound():

@@ -10,8 +10,10 @@ import grrdecomp.treedecomp as treedecomp
 from conftest import (
     assert_table_matches_direct_predicate,
     dp_table_digest,
+    sawtooth,
     sun_drawing,
     tree_fixture_drawings,
+    zigzag,
 )
 from grrdecomp.analysis import conflicting_pairs
 from grrdecomp.drawing import (
@@ -53,32 +55,6 @@ def rooted(d):
 
 
 # -- all-pairs path table ----------------------------------------------------------
-
-
-def path_drawing(points):
-    return validate_drawing(list(enumerate(pt(x, y) for x, y in points)),
-                            [(i, i + 1) for i in range(len(points) - 1)])
-
-
-def zigzag(rng, n_edges):
-    """x-monotone, every edge within 45 degrees of +x: all increasing-chord."""
-    pts = [(0, 0)]
-    for k in range(n_edges):
-        if k % 2 == 0:
-            dx = rng.randint(3, 9)
-            pts.append((pts[-1][0] + dx, rng.randint(1, dx)))
-        else:
-            pts.append((pts[-1][0] + rng.randint(max(3, pts[-1][1]), 9), 0))
-    return path_drawing(pts)
-
-
-def sawtooth(rng, n_edges):
-    """Steep teeth: every two-edge subpath conflicts."""
-    pts, x = [], 0
-    for k in range(n_edges + 1):
-        pts.append((x, 0 if k % 2 == 0 else rng.randint(8, 14)))
-        x += rng.randint(1, 2)
-    return path_drawing(pts)
 
 
 # twelve leg directions, about 30 degrees apart
