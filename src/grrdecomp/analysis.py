@@ -154,26 +154,22 @@ def first_conflict(conflict, obj, indices) -> Optional[tuple]:
     """The first (i, j, witness) over ordered pairs of distinct indices,
     row by row, where witness = conflict(obj, i, j) is not None; else None.
     conflict is drawing_edges_conflict, polygon_edges_conflict or the
-    witness-free _lattice_conflict; the whole-set scans read slab rows."""
+    witness-free _lattice_conflict; conflicting_pairs reads slab rows."""
     tests = ((i, j, conflict(obj, i, j))
              for i in indices for j in indices if i != j)
     return next((t for t in tests if t[2] is not None), None)
 
 
-def _row_conflicts(ends, rows) -> tuple[tuple[int, int], ...]:
-    """Pairs i < j, in order, of edges at positions ends where one meets
-    the open slab of the other, read from each edge's slab_row in rows."""
+def conflicting_pairs(d: Drawing) -> tuple[tuple[int, int], ...]:
+    """Unordered edge pairs that conflict in at least one direction, in
+    order, read from each edge's geometry.slab_row."""
     pairs: set[tuple[int, int]] = set()
-    for e, (row, dd) in enumerate(rows):
-        for f, (a, b) in enumerate(ends):
+    for e, (u, v) in enumerate(d.edges):
+        row, dd = slab_row(d.lattice, u, v)
+        for f, (a, b) in enumerate(d.edges):
             if f != e and not _misses_slab(row[a], row[b], dd):
                 pairs.add((e, f) if e < f else (f, e))
     return tuple(sorted(pairs))
-
-
-def conflicting_pairs(d: Drawing) -> tuple[tuple[int, int], ...]:
-    """Unordered edge pairs that conflict in at least one direction."""
-    return _row_conflicts(*d.slab_rows())
 
 
 def polygon_edges_conflict(poly: Polygon, e: int, f: int
@@ -209,10 +205,9 @@ def polygon_is_grr(poly: Polygon) -> Optional[ConflictWitness]:
 
 def polygon_conflicting_edge_pairs(poly: Polygon) -> tuple[tuple[int, int], ...]:
     """Unordered boundary edge pairs that conflict in some direction."""
-    lat, n = poly.lattice, poly.n
-    ends = [(i, (i + 1) % n) for i in range(n)]
-    near = _row_conflicts(ends, (slab_row(lat, a, b) for a, b in ends))
-    return tuple((i, j) for i, j in near if polygon_edges_conflict(poly, i, j)
+    n = poly.n
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                 if polygon_edges_conflict(poly, i, j)
                  or polygon_edges_conflict(poly, j, i))
 
 

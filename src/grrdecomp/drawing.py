@@ -37,7 +37,7 @@ class Drawing:
     input and only builds the derived lookup tables. lattice maps each
     vertex id to its point on the drawing's integer lattice
     (geometry.lattice); clockwise_order builds the rotation system from
-    it on first read, and slab_rows projects it onto every edge.
+    it on first read.
     """
 
     __slots__ = ("vertex_ids", "points", "edges", "adjacency", "lattice",
@@ -57,14 +57,6 @@ class Drawing:
         self.lattice = dict(zip(self.vertex_ids, lattice(
             self.points[vid] for vid in self.vertex_ids)))
         self._rotation: Optional[dict[int, tuple[int, ...]]] = None
-
-    def slab_rows(self):
-        """(ends, rows): each edge's endpoint positions in lattice order,
-        and the geometry.slab_row of the lattice onto each edge in turn."""
-        pos = {vid: k for k, vid in enumerate(self.lattice)}
-        ends = [(pos[u], pos[v]) for u, v in self.edges]
-        lat = tuple(self.lattice.values())
-        return ends, (slab_row(lat, a, b) for a, b in ends)
 
     def point(self, vid: int) -> Point:
         return self.points[vid]
@@ -273,14 +265,6 @@ class SubdividedDrawing:
     origin: Mapping[int, tuple[int, Fraction, Fraction]]
 
 
-def _lerp(a: Fraction, b: Fraction, t: Fraction) -> Fraction:
-    # a + (b - a) * t over one denominator, so normalised only once
-    p, q = t.numerator, t.denominator
-    return Fraction(a.numerator * b.denominator * (q - p)
-                    + b.numerator * a.denominator * p,
-                    a.denominator * b.denominator * q)
-
-
 def subdivide(d: Drawing) -> SubdividedDrawing:
     """Split every edge at the normal lines through other edges' endpoints.
 
@@ -291,18 +275,18 @@ def subdivide(d: Drawing) -> SubdividedDrawing:
     SUBDIVISION_EDGE_BUDGET edges raises BudgetExceededError before any
     vertex is built.
     """
-    ends, rows = d.slab_rows()
-    cuts: list[set[Fraction]] = [set() for _ in ends]
-    for row, dd in rows:
+    cuts: list[set[Fraction]] = [set() for _ in d.edges]
+    for u, v in d.edges:
+        row, dd = slab_row(d.lattice, u, v)
         # e's own row reads (0, dd), which has no strict sign change
-        for (a, b), cut in zip(ends, cuts):
+        for (a, b), cut in zip(d.edges, cuts):
             s0, s1 = row[a], row[b]
             # the roots are ratios of lattice integers, the same on any scale
             if s0 < 0 < s1 or s1 < 0 < s0:
                 cut.add(Fraction(s0, s0 - s1))
             if s0 < dd < s1 or s1 < dd < s0:
                 cut.add(Fraction(s0 - dd, s0 - s1))
-    n_out = len(ends) + sum(map(len, cuts))
+    n_out = d.n_edges + sum(map(len, cuts))
     if n_out > SUBDIVISION_EDGE_BUDGET:
         raise BudgetExceededError(
             f"subdivision limited to {SUBDIVISION_EDGE_BUDGET} edges, "
@@ -312,13 +296,12 @@ def subdivide(d: Drawing) -> SubdividedDrawing:
     new_edges: list[tuple[int, int]] = []
     origin: dict[int, tuple[int, Fraction, Fraction]] = {}
     for e_idx, (u, v) in enumerate(d.edges):
-        pu, pv = d.points[u], d.points[v]
+        seg = d.segment(e_idx)
         prev_vid, prev_t = u, Fraction(0)
         for t in sorted(cuts[e_idx]):
             vid = next_id
             next_id += 1
-            vertices.append((vid, Point(_lerp(pu.x, pv.x, t),
-                                        _lerp(pu.y, pv.y, t))))
+            vertices.append((vid, seg.at(t)))
             origin[len(new_edges)] = (e_idx, prev_t, t)
             new_edges.append((prev_vid, vid))
             prev_vid, prev_t = vid, t

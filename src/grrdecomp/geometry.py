@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import NotCounterclockwiseError, NotSimplePolygonError
 
@@ -133,15 +133,17 @@ def slab_projections(ea: Point, eb: Point, fa: Point, fb: Point
     return dot(fa - ea, de), dot(fb - ea, de), dot(de, de)
 
 
-def slab_row(lat: Sequence[LatticePoint], i: int, j: int
-             ) -> tuple[list[int], int]:
-    """(row, dd) with row[k] = dot(lat[k], de) - dot(lat[i], de), n integer
-    products, and dd = dot(de, de) for de = lat[j] - lat[i]: an edge (a, b)
-    of lat has slab_projections (row[a], row[b], dd) onto lat[i]-lat[j]."""
+def slab_row(lat: Mapping[int, LatticePoint], i: int, j: int
+             ) -> tuple[dict[int, int], int]:
+    """(row, dd) with row[k] = dot(lat[k], de) - dot(lat[i], de) for every
+    key k, n integer products, and dd = dot(de, de) for de = lat[j] -
+    lat[i]: an edge (a, b) has slab_projections (row[a], row[b], dd) onto
+    the edge (i, j)."""
     ax, ay = lat[i]
     dx, dy = lat[j][0] - ax, lat[j][1] - ay
     base = ax * dx + ay * dy
-    return [x * dx + y * dy - base for x, y in lat], dx * dx + dy * dy
+    return ({k: x * dx + y * dy - base for k, (x, y) in lat.items()},
+            dx * dx + dy * dy)
 
 
 @dataclass(frozen=True, slots=True)
