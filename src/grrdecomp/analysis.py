@@ -32,6 +32,7 @@ from .geometry import (
     in_hp,
     on_segment,
     point_in_polygon,
+    point_key,
     segment_intersection,
     slab_projections,
     slab_row,
@@ -307,8 +308,11 @@ def tree_increasing_chord(d: Drawing, edge_subset) -> bool:
 
 # -- path families around a shared origin --------------------------------------
 
-def _union_paths(paths: Sequence[Sequence[Point]]) -> tuple[Drawing, int]:
-    """Union polylines from a common origin into a validated tree drawing."""
+def _union_paths(paths: Sequence[Sequence[Point]]
+                 ) -> tuple[Drawing, dict[tuple, int]]:
+    """Union polylines from a common origin into a validated tree drawing,
+    with the vertex id of each point, keyed by point_key. The origin is
+    vertex 0."""
     cleaned = []
     for path in paths:
         try:
@@ -318,26 +322,30 @@ def _union_paths(paths: Sequence[Sequence[Point]]) -> tuple[Drawing, int]:
     origin = cleaned[0][0]
     if any(p[0] != origin for p in cleaned):
         raise InvalidPathFamilyError("paths do not share an origin")
-    ids: dict[Point, int] = {}
+    ids: dict[tuple, int] = {}
+    points: list[Point] = []
     for path in cleaned:
         for q in path:
-            if q not in ids:
-                ids[q] = len(ids)
+            key = point_key(q)
+            if key not in ids:
+                ids[key] = len(points)
+                points.append(q)
     edges = []
     seen = set()
     for path in cleaned:
-        for a, b in zip(path, path[1:]):
-            key = frozenset((ids[a], ids[b]))
+        vids = [ids[point_key(q)] for q in path]
+        for a, b in zip(vids, vids[1:]):
+            key = frozenset((a, b))
             if key not in seen:
                 seen.add(key)
-                edges.append((ids[a], ids[b]))
+                edges.append((a, b))
     try:
-        d = validate_drawing(sorted((vid, q) for q, vid in ids.items()), edges)
+        d = validate_drawing(enumerate(points), edges)
     except InputError as exc:
         raise InvalidPathFamilyError(f"paths do not union cleanly: {exc}") from exc
     if len(edges) != len(ids) - 1:
         raise InvalidPathFamilyError("path union contains a cycle")
-    return d, ids[origin]
+    return d, ids
 
 
 def _outer_face_walk(d: Drawing, origin: int) -> list[int]:
@@ -361,12 +369,11 @@ def clockwise_between(path1: Sequence[Point], path2: Sequence[Point],
     """Does the clockwise boundary walk of the union meet the three path
     endpoints in the order path1, path2, path3?"""
     paths = [tuple(path1), tuple(path2), tuple(path3)]
-    d, origin = _union_paths(paths)
-    walk = _outer_face_walk(d, origin)
+    d, ids = _union_paths(paths)
+    walk = _outer_face_walk(d, 0)
     period = len(walk)
     doubled = walk + walk
-    id_of = {d.points[vid]: vid for vid in d.vertex_ids}
-    t1, t2, t3 = (id_of[p[-1]] for p in paths)
+    t1, t2, t3 = (ids[point_key(p[-1])] for p in paths)
     for i1 in range(period):
         if doubled[i1] != t1:
             continue

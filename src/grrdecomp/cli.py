@@ -20,8 +20,8 @@ from .polydecomp import (
 )
 from .svg import render_svg
 from .treedecomp import (
-    Partition,
     approx_gtd_proper,
+    approx_gtd_with_splits,
     min_gtd_exact,
     min_gtd_with_splits,
 )
@@ -82,10 +82,7 @@ def _cmd_decompose_tree(args) -> int:
                   file=sys.stderr)
             return 2
         if args.allow_splits:
-            sd = subdivide(d)
-            inner = approx_gtd_proper(sd.drawing)
-            p = Partition(components=inner.components,
-                          contact_mode=inner.contact_mode, origin=sd)
+            p = approx_gtd_with_splits(d)
         else:
             p = approx_gtd_proper(d)
     elif args.allow_splits:

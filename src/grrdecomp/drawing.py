@@ -23,11 +23,13 @@ from .geometry import (
     Segment,
     improper_contact,
     lattice,
+    point_key,
     segment_intersection,
     slab_row,
 )
 
 SUBDIVISION_EDGE_BUDGET = 20_000  # the most edges subdivide refines to
+SPLIT_SOLVE_EDGE_BUDGET = 400  # the most refined edges a split solve takes
 
 
 class Drawing:
@@ -97,12 +99,11 @@ def validate_drawing(vertices: Iterable[tuple[int, Point]],
     """
     vlist = [(int(vid), p) for vid, p in vertices]
     seen_ids: set[int] = set()
-    # Fractions are normalised: equal positions have equal int keys
     seen_pts: dict[tuple[int, int, int, int], int] = {}
     for vid, p in vlist:
         if vid in seen_ids:
             raise DuplicateVertexError(f"vertex id {vid} repeated")
-        key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+        key = point_key(p)
         if key in seen_pts:
             raise DuplicateVertexError(
                 f"vertices {seen_pts[key]} and {vid} share position {p}")

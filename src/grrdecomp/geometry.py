@@ -77,6 +77,12 @@ def pt(x: Coord, y: Coord) -> Point:
     return Point(frac(x), frac(y))
 
 
+def point_key(p: Point) -> tuple[int, int, int, int]:
+    """An int key for p. Fractions are normalised, so equal points have
+    equal keys, and hashing the key hashes no Fraction."""
+    return (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+
+
 class LatticePoint(NamedTuple):
     """A point of the integer lattice that lattice() maps a point set to.
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional
 
 from .analysis import conflicting_pairs, drawing_edges_conflict, first_conflict
 from .drawing import (
+    SPLIT_SOLVE_EDGE_BUDGET,
     Drawing,
     RootedTree,
     SubdividedDrawing,
@@ -34,7 +34,7 @@ from .drawing import (
     root_tree,
     subdivide,
 )
-from .errors import GRRError
+from .errors import BudgetExceededError, GRRError
 from .geometry import hp, in_hp
 from .multicut import Cut, MulticutInstance, approx_gvy
 
@@ -248,9 +248,13 @@ class DPTables:
     """Filled decomposition tables, kept around for reconstruction.
 
     tau[u] maps an extreme-endpoint pair to an entry for the subtree
-    hanging from u's parent edge; sigma_delta, sigma and sigma_m are per
-    vertex, keyed first by the child-index span they cover. tau_best[u]
-    is the (size, key) of u's smallest tau entry.
+    hanging from u's parent edge; tau_best[u] is the (size, key) of u's
+    smallest tau entry. sigma_delta[u][k], for u's degree k = 1..4 in
+    the root component, sigma[u] and sigma_m[u] are keyed by the
+    child-index span (a, b) they cover. sigma_delta and sigma hold only
+    the spans with entries, and a span with entries of one degree only
+    shares that table as its sigma table; sigma_m holds every span
+    a <= b.
 
     Every entry is (size, (own_edge, joined, apart)): own_edge (or
     None) belongs to the entry's root component, the entries in joined
@@ -326,20 +330,24 @@ def _fit_table(ic: dict, taus: list, paths: list) -> tuple[list, list, list]:
     path entries: the pairs a join of four path arms needs.
     """
     d = len(taus)
-    firsts = [{x for (x, _), _ in items} for items in taus]
-    lasts = [{y for (_, y), _ in items} for items in taus]
-    ends = set().union(*firsts, *lasts)
+    # the children with each first (last) endpoint, as bit masks
+    first_of: dict[int, int] = {}
+    last_of: dict[int, int] = {}
+    for j, items in enumerate(taus, 1):
+        for (x, y), _ in items:
+            first_of[x] = first_of.get(x, 0) | 1 << j
+            last_of[y] = last_of.get(y, 0) | 1 << j
+    ends = first_of.keys() | last_of.keys()
     first_fit, last_fit = [0] * (d + 1), [0] * (d + 1)
     for i, items in enumerate(taus, 1):
         reach = set()
         for (x, y), _ in items:
             reach |= ends & ic[x] & ic[y]
-        for j in range(1, d + 1):
-            if j != i:
-                if not reach.isdisjoint(firsts[j - 1]):
-                    first_fit[i] |= 1 << j
-                if not reach.isdisjoint(lasts[j - 1]):
-                    last_fit[i] |= 1 << j
+        ff = lf = 0
+        for v in reach:
+            ff |= first_of.get(v, 0)
+            lf |= last_of.get(v, 0)
+        first_fit[i], last_fit[i] = ff & ~(1 << i), lf & ~(1 << i)
     both = [f & g for f, g in zip(first_fit, last_fit)]
     arms = [0] * (d + 1)
     for i in range(1, d + 1):
@@ -382,10 +390,15 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
             first_fit, last_fit, arms = _fit_table(ic, taus, paths)
         if mode == "proper":
             bests = [t.tau[c][t.tau_best[c][1]] for c in cs]
+        # span tables hold only the spans with entries
         sd: dict[int, dict] = {1: {}, 2: {}, 3: {}, 4: {}}
         sorted2: dict = {}
         sg: dict = {}
-        bsig: dict = {}
+        # bit mm of pair_from[a] (pair_to[b]) is set when the pair span
+        # a..mm (mm..b) has entries
+        pair_from, pair_to = [0] * (d + 1), [0] * (d + 1)
+        # (b, least entry) of each sigma span a..b with entries, by b
+        sig_runs: list[list] = [[] for _ in range(d + 1)]
         # minimum partitions of runs of children; DPTables leaves out the
         # empty runs
         sm: dict = {(i, i - 1): _NOTHING for i in range(1, d + 2)}
@@ -397,32 +410,38 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                 if w == 0:
                     sd[1][span] = {key: (ent[0], (None, (ent,), ()))
                                    for key, ent in taus[a - 1]}
-                else:
-                    ent2 = sd[2][span] = {}
-                    if (first_fit[a] & last_fit[a]) >> b & 1:
-                        _join(ic, (taus[a - 1], taus[b - 1]),
-                              (sm[(a + 1, b - 1)],), ent2)
-                    sorted2[span] = sorted(ent2.items())
+                elif (first_fit[a] & last_fit[a]) >> b & 1:
+                    ent2 = {}
+                    _join(ic, (taus[a - 1], taus[b - 1]),
+                          (sm[(a + 1, b - 1)],), ent2)
+                    if ent2:
+                        sd[2][span] = ent2
+                        sorted2[span] = sorted(ent2.items())
+                        pair_from[a] |= 1 << b
+                        pair_to[b] |= 1 << a
                 if w >= 2:
-                    ent3 = sd[3][span] = {}
+                    ent3 = {}
                     inside = (1 << b) - (2 << a)    # the children a+1..b-1
                     # a pair part a..mm brings a's firsts and mm's lasts to
                     # child b; a pair part mm..b brings mm's firsts and b's
                     # lasts to child a
-                    lows = last_fit[b] if first_fit[b] >> a & 1 else 0
-                    highs = first_fit[a] if last_fit[a] >> b & 1 else 0
+                    lows = (last_fit[b] & pair_from[a]
+                            if first_fit[b] >> a & 1 else 0)
+                    highs = (first_fit[a] & pair_to[b]
+                             if last_fit[a] >> b & 1 else 0)
                     for mm in _bits((lows | highs) & inside):
-                        if lows >> mm & 1 and sorted2[(a, mm)]:
+                        if lows >> mm & 1:
                             _join(ic, (sorted2[(a, mm)], taus[b - 1]),
                                   (sm[(mm + 1, b - 1)],), ent3)
-                        if highs >> mm & 1 and sorted2[(mm, b)]:
+                        if highs >> mm & 1:
                             _join(ic, (taus[a - 1], sorted2[(mm, b)]),
                                   (sm[(a + 1, mm - 1)],), ent3)
-                if w >= 3:
-                    ent4 = sd[4][span] = {}
+                    if ent3:
+                        sd[3][span] = ent3
+                if w >= 3 and arms[a] >> b & 1:
+                    ent4 = {}
                     # every two of the four arms must fit
-                    inner = (arms[a] & arms[b] & inside
-                             if arms[a] >> b & 1 else 0)
+                    inner = arms[a] & arms[b] & inside
                     for jj in _bits(inner):
                         low = (paths[a - 1], paths[jj - 1])
                         below = sm[(a + 1, jj - 1)]
@@ -430,16 +449,26 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                             _join(ic, low + (paths[kk - 1], paths[b - 1]),
                                   (below, sm[(jj + 1, kk - 1)],
                                    sm[(kk + 1, b - 1)]), ent4)
-                merged: dict = {}
-                for dl in (1, 2, 3, 4):
-                    for key, ent in sorted(sd[dl].get(span, {}).items()):
-                        cur = merged.get(key)
-                        if cur is None or ent[0] < cur[0]:
-                            merged[key] = ent
+                    if ent4:
+                        sd[4][span] = ent4
+                # each key keeps the first entry of least size, in order
+                # of the degree classes
+                classes = [sd[dl][span] for dl in (1, 2, 3, 4)
+                           if span in sd[dl]]
+                if not classes:
+                    continue
+                merged = classes[0]
+                if len(classes) > 1:
+                    merged = dict(merged)
+                    for cls in classes[1:]:
+                        for key, ent in cls.items():
+                            cur = merged.get(key)
+                            if cur is None or ent[0] < cur[0]:
+                                merged[key] = ent
                 sg[span] = merged
-                if merged:
-                    bsig[span] = min((merged[k] for k in sorted(merged)),
-                                     key=itemgetter(0))
+                # the first entry of least size, in key order
+                least = min((ent[0], key) for key, ent in merged.items())
+                sig_runs[a].append((b, merged[least[1]]))
 
             for a in range(1, d - w + 1):
                 b = a + w
@@ -452,11 +481,9 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                     # side, the lexicographically first (pp, qq) of least
                     # size. Every tiling of a..b starts with a span at a,
                     # so pp = a reaches the least size: scan qq alone
+                    # sig_runs[a] holds no span wider than this one yet
                     best = None
-                    for qq in range(a, b + 1):
-                        bs = bsig.get((a, qq))
-                        if bs is None:
-                            continue
+                    for qq, bs in sig_runs[a]:
                         right = sm[(qq + 1, b)]
                         val = bs[0] + right[0]
                         if best is None or val < best[0]:
@@ -544,16 +571,37 @@ def min_gtd_exact(rt: RootedTree, mode: str) -> Partition:
     return p
 
 
+def _split(d: Drawing) -> SubdividedDrawing:
+    """The subdivision of d that a split solve runs on. A refinement
+    beyond SPLIT_SOLVE_EDGE_BUDGET edges raises BudgetExceededError
+    before any solve starts."""
+    sd = subdivide(d)
+    if sd.drawing.n_edges > SPLIT_SOLVE_EDGE_BUDGET:
+        raise BudgetExceededError(
+            f"split solve limited to {SPLIT_SOLVE_EDGE_BUDGET} refined "
+            f"edges, got {sd.drawing.n_edges}")
+    return sd
+
+
 def min_gtd_with_splits(d: Drawing, mode: str) -> Partition:
     """Minimum decomposition when edges may be split.
 
     Runs the exact program on the subdivision of d; component edge ids
     refer to the subdivided drawing carried in the result's origin.
     """
-    sd = subdivide(d)
+    sd = _split(d)
     rt = root_tree(sd.drawing, default_root(sd.drawing))
     p = min_gtd_exact(rt, mode)
     return Partition(components=p.components, contact_mode=mode, origin=sd)
+
+
+def approx_gtd_with_splits(d: Drawing) -> Partition:
+    """approx_gtd_proper on the subdivision of d; component edge ids
+    refer to the subdivided drawing carried in the result's origin."""
+    sd = _split(d)
+    p = approx_gtd_proper(sd.drawing)
+    return Partition(components=p.components, contact_mode=p.contact_mode,
+                     origin=sd)
 
 
 def build_multicut_instance(d: Drawing) -> MulticutInstance:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import sawtooth
-from grrdecomp import cli, geometry
+from grrdecomp import analysis, cli, drawing, geometry, treedecomp
 from grrdecomp.cli import main
 from grrdecomp.drawing import default_root, root_tree, subdivide
 from grrdecomp.fixtures import (
@@ -210,6 +210,23 @@ def test_oversized_subdivision_exits_1_at_once(files, capsys, count_calls,
         r"error: subdivision limited to 20000 edges, got \d+\n", err)
     # only the parsed vertices: the budget is checked before any cut vertex
     assert built() == d.n_vertices
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx2"])
+def test_oversized_split_solve_exits_1_within_seconds(files, capsys,
+                                                      count_calls, mode):
+    # 19,711 refined edges pass the subdivision budget; approx2 on them
+    # ran for over 300 s before split solves had a budget of their own
+    f = files("saw.json", serialize_drawing(sawtooth(random.Random(200), 200)))
+    rooted = count_calls(drawing, "root_tree", treedecomp)
+    scanned = count_calls(analysis, "conflicting_pairs", treedecomp)
+    t0 = time.perf_counter()
+    assert main(["decompose-tree", f, "--allow-splits", "--mode", mode]) == 1
+    assert time.perf_counter() - t0 < 10
+    assert capsys.readouterr() == (
+        "", "error: split solve limited to 400 refined edges, got 19711\n")
+    # the budget is checked before the solve roots or scans anything
+    assert rooted() == scanned() == 0
 
 
 def test_render_drawing(files, capsys, tmp_path):

@@ -392,8 +392,20 @@ def test_wide_vertex_joins_are_gated(count_calls, mode):
     # component are skipped, which leaves 1,610
     rt = rooted(sun_drawing(random.Random(40), 40))
     joins = count_calls(treedecomp, "_join")
-    fill_gtd_tables(rt, mode)
-    assert joins() <= 2000
+    t = fill_gtd_tables(rt, mode)
+    assert joins() == 1610
+    # span tables are sparse: 419 of the center's 780 spans have a sigma
+    # entry, and the fill made 1,960 empty span tables before
+    for u, sg in t.sigma.items():
+        assert all(sg.values())
+        assert all(all(per_delta.values())
+                   for per_delta in t.sigma_delta[u].values())
+        d = len(rt.children[u])
+        assert set(t.sigma_m[u]) == {(a, b) for a in range(1, d + 1)
+                                     for b in range(a, d + 1)}
+    center = max(t.sigma, key=lambda u: len(rt.children[u]))
+    assert len(rt.children[center]) == 39
+    assert len(t.sigma[center]) == 419
 
 
 # optimum sizes of the seeded 32-leg sun, recorded before the joins at
