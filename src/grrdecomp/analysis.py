@@ -5,6 +5,10 @@ An edge e conflicts with an edge f when some normal line (for drawings)
 or outward normal ray (for polygon boundaries) erected at an interior
 point of e meets f. Conflicts are exactly what destroys greedy
 routability, so everything in this package reduces to them.
+
+Every scan over a whole edge set reads slab_hits, one integer slab row
+per edge; drawing_edges_conflict and polygon_edges_conflict decide one
+ordered pair. A conflict always comes with its ConflictWitness.
 """
 from __future__ import annotations
 
@@ -46,31 +50,13 @@ class ConflictWitness:
 
     p is the foot on e, hit the struck point of f; the segment p-hit is
     perpendicular to e, p is strictly interior to e, and no point of e
-    inside the slab is closer to hit than p is.
+    inside the slab is closer to hit than p is. The predicates build it
+    on a hit, before they return.
     """
     e: int
     f: int
     p: Point
     hit: Point
-
-    @classmethod
-    def _on_read(cls, e: int, f: int, clip) -> "ConflictWitness":
-        """A witness whose p and hit are built by clip(), which returns
-        (foot, hit), when either is first read."""
-        w = object.__new__(cls)
-        for name, value in (("e", e), ("f", f), ("_clip", clip)):
-            object.__setattr__(w, name, value)
-        return w
-
-    def __getattr__(self, name: str):
-        # reached only for fields not yet set, so only for p and hit of
-        # a witness from _on_read
-        if name not in ("p", "hit") or "_clip" not in self.__dict__:
-            raise AttributeError(name)
-        p, hit = self.__dict__.pop("_clip")()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "hit", hit)
-        return self.__dict__[name]
 
 
 def _misses_slab(s0, s1, dd) -> bool:
@@ -85,22 +71,22 @@ def _misses_slab(s0, s1, dd) -> bool:
     return (s0 <= 0 and s1 <= 0) or (s0 >= dd and s1 >= dd)
 
 
-def _slab_witness(ea: Point, eb: Point, seg: Segment,
-                  outward: Optional[Point]) -> Optional[tuple[Point, Point]]:
-    """Shared core of the two conflict tests.
+def _clip(ea: Point, eb: Point, seg: Segment, proj,
+          outward: Optional[Point]) -> Optional[tuple[Point, Point]]:
+    """(foot, hit) for a seg that meets the open slab of edge ea-eb, or
+    None when outward cuts the whole crossing away.
 
-    Clips seg to the open slab of edge ea-eb (and, when outward is given,
-    to the open outward halfplane); returns (foot, hit) or None. The clip
-    spans [0, 1] between seg's slab roots (geometry.slab_projections),
-    which are the cuts subdivide makes in seg, narrowed by the outward
-    root; it is feasible iff lo < hi, and hit is its midpoint.
+    proj is (s0, s1, dd) from slab_projections or a slab row, on any one
+    scale: the slab roots, which are the cuts subdivide makes in seg,
+    and the foot's parameter on e are ratios of them. The clip spans
+    [0, 1] between the roots, narrowed by the root of the open outward
+    halfplane when outward is given; it is feasible iff lo < hi, and
+    hit is its midpoint.
     """
-    s0, s1, dd = slab_projections(ea, eb, seg.a, seg.b)
-    if _misses_slab(s0, s1, dd):
-        return None
+    s0, s1, dd = proj
     lo, hi = Fraction(0), Fraction(1)
     if s0 != s1:
-        r0, r1 = s0 / (s0 - s1), (s0 - dd) / (s0 - s1)
+        r0, r1 = Fraction(s0, s0 - s1), Fraction(s0 - dd, s0 - s1)
         lo, hi = max(lo, min(r0, r1)), min(hi, max(r0, r1))
     if outward is not None:
         a = dot(seg.direction(), outward)
@@ -113,28 +99,41 @@ def _slab_witness(ea: Point, eb: Point, seg: Segment,
             return None
     if lo >= hi:
         return None
-    hit = seg.at((lo + hi) / 2)
-    de = eb - ea
-    foot = ea + de * (dot(hit - ea, de) / dd)
-    return foot, hit
+    mid = (lo + hi) / 2
+    return ea + (eb - ea) * ((s0 + (s1 - s0) * mid) / dd), seg.at(mid)
 
 
-def _lattice_conflict(d: Drawing, e: int, f: int) -> Optional[bool]:
-    """True when edges e and f conflict, else None, decided on d.lattice
-    with no witness built; indices are not checked."""
-    lat, edges = d.lattice, d.edges
-    u, v = edges[e]
-    a, b = edges[f]
-    if _misses_slab(*slab_projections(lat[u], lat[v], lat[a], lat[b])):
-        return None
-    return True
+def _slab_witness(ea: Point, eb: Point, seg: Segment,
+                  outward: Optional[Point]) -> Optional[tuple[Point, Point]]:
+    """_clip on the Fraction points of e and seg, or None when seg misses
+    the open slab of ea-eb."""
+    proj = slab_projections(ea, eb, seg.a, seg.b)
+    return None if _misses_slab(*proj) else _clip(ea, eb, seg, proj, outward)
+
+
+def slab_hits(lat, ends, ids):
+    """(e, f, proj) for the ordered pairs of distinct edges e, f of ids,
+    row by row in the order of ids, where f meets the open slab of e.
+
+    lat maps vertex keys to LatticePoints, ends[e] holds edge e's two
+    keys, and ids iterates over edge indices. Each e reads one
+    geometry.slab_row over the vertices of ids only; proj is f's slab
+    projections (s0, s1, dd) onto e, read from it.
+    """
+    own = [(e, ends[e]) for e in ids]
+    sub = {k: lat[k] for _, uv in own for k in uv}
+    for e, (u, v) in own:
+        row, dd = slab_row(sub, u, v)
+        for f, (a, b) in own:
+            if f != e and not _misses_slab(row[a], row[b], dd):
+                yield e, f, (row[a], row[b], dd)
 
 
 def drawing_edges_conflict(d: Drawing, e: int, f: int) -> Optional[ConflictWitness]:
     """Does a normal line at an interior point of edge e meet edge f?
 
-    Decided on the drawing's integer lattice. On a hit, the witness's
-    points are clipped from the Fraction points when first read.
+    Edges that miss the open slab are rejected on the drawing's integer
+    lattice; a hit's witness is clipped on the Fraction points.
     """
     m = d.n_edges
     for idx in (e, f):
@@ -142,35 +141,29 @@ def drawing_edges_conflict(d: Drawing, e: int, f: int) -> Optional[ConflictWitne
             raise UnknownEdgeError(f"edge index {idx} out of range")
     if e == f:
         raise ValueError("conflict test needs two distinct edges")
-    if _lattice_conflict(d, e, f) is None:
+    lat, (u, v), (a, b) = d.lattice, d.edges[e], d.edges[f]
+    if _misses_slab(*slab_projections(lat[u], lat[v], lat[a], lat[b])):
         return None
-
-    def clip():
-        se = d.segment(e)
-        return _slab_witness(se.a, se.b, d.segment(f), None)
-    return ConflictWitness._on_read(e, f, clip)
-
-
-def first_conflict(conflict, obj, indices) -> Optional[tuple]:
-    """The first (i, j, witness) over ordered pairs of distinct indices,
-    row by row, where witness = conflict(obj, i, j) is not None; else None.
-    conflict is drawing_edges_conflict, polygon_edges_conflict or the
-    witness-free _lattice_conflict; conflicting_pairs reads slab rows."""
-    tests = ((i, j, conflict(obj, i, j))
-             for i in indices for j in indices if i != j)
-    return next((t for t in tests if t[2] is not None), None)
+    se = d.segment(e)
+    return ConflictWitness(e, f, *_slab_witness(se.a, se.b, d.segment(f), None))
 
 
 def conflicting_pairs(d: Drawing) -> tuple[tuple[int, int], ...]:
     """Unordered edge pairs that conflict in at least one direction, in
-    order, read from each edge's geometry.slab_row."""
-    pairs: set[tuple[int, int]] = set()
-    for e, (u, v) in enumerate(d.edges):
-        row, dd = slab_row(d.lattice, u, v)
-        for f, (a, b) in enumerate(d.edges):
-            if f != e and not _misses_slab(row[a], row[b], dd):
-                pairs.add((e, f) if e < f else (f, e))
-    return tuple(sorted(pairs))
+    order, read from slab_hits."""
+    return tuple(sorted({(e, f) if e < f else (f, e) for e, f, _ in
+                         slab_hits(d.lattice, d.edges, range(d.n_edges))}))
+
+
+def _outward_witness(poly: Polygon, e: int, f: int, proj
+                     ) -> Optional[ConflictWitness]:
+    """The witness that boundary edge e's outward normal rays strike f,
+    which meets e's open slab with projections proj, else None."""
+    se = poly.edge(e)
+    dirv = se.direction()
+    outward = Point(dirv.y, -dirv.x)  # right of a ccw boundary edge
+    res = _clip(se.a, se.b, poly.edge(f), proj, outward)
+    return None if res is None else ConflictWitness(e, f, *res)
 
 
 def polygon_edges_conflict(poly: Polygon, e: int, f: int
@@ -187,29 +180,31 @@ def polygon_edges_conflict(poly: Polygon, e: int, f: int
     if e == f:
         raise ValueError("conflict test needs two distinct edges")
     lat, n = poly.lattice, poly.n
-    if _misses_slab(*slab_projections(lat[e], lat[(e + 1) % n],
-                                      lat[f], lat[(f + 1) % n])):
-        return None
-    se = poly.edge(e)
-    dirv = se.direction()
-    outward = Point(dirv.y, -dirv.x)  # right of a ccw boundary edge
-    res = _slab_witness(se.a, se.b, poly.edge(f), outward)
-    return None if res is None else ConflictWitness(e, f, *res)
+    proj = slab_projections(lat[e], lat[(e + 1) % n], lat[f], lat[(f + 1) % n])
+    return None if _misses_slab(*proj) else _outward_witness(poly, e, f, proj)
+
+
+def _polygon_witnesses(poly: Polygon):
+    """Witnesses of the conflicting ordered boundary edge pairs, row by
+    row: each slab hit goes straight to the outward clip."""
+    n = poly.n
+    ends = [(i, (i + 1) % n) for i in range(n)]
+    for e, f, proj in slab_hits(poly.lattice, ends, range(n)):
+        w = _outward_witness(poly, e, f, proj)
+        if w is not None:
+            yield w
 
 
 def polygon_is_grr(poly: Polygon) -> Optional[ConflictWitness]:
     """None when the polygon is greedily routable, else the first witness
     in boundary-index order."""
-    found = first_conflict(polygon_edges_conflict, poly, range(poly.n))
-    return None if found is None else found[2]
+    return next(_polygon_witnesses(poly), None)
 
 
 def polygon_conflicting_edge_pairs(poly: Polygon) -> tuple[tuple[int, int], ...]:
     """Unordered boundary edge pairs that conflict in some direction."""
-    n = poly.n
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                 if polygon_edges_conflict(poly, i, j)
-                 or polygon_edges_conflict(poly, j, i))
+    return tuple(sorted({(w.e, w.f) if w.e < w.f else (w.f, w.e)
+                         for w in _polygon_witnesses(poly)}))
 
 
 def _dual_step_toward(tp, i: int, j: int) -> int:
@@ -303,7 +298,7 @@ def tree_increasing_chord(d: Drawing, edge_subset) -> bool:
             d.other_endpoint(idx, v) for idx in d.adjacency[v]
             if idx in sset])) != 1:
         return False
-    return first_conflict(_lattice_conflict, d, subset) is None
+    return next(slab_hits(d.lattice, d.edges, subset), None) is None
 
 
 # -- path families around a shared origin --------------------------------------

@@ -145,7 +145,11 @@ def _cmd_render(args) -> int:
     else:
         print(f"error: cannot render a {kind} file", file=sys.stderr)
         return 2
-    _write(args.output, render_svg(scene, overlay))
+    try:
+        svg = render_svg(scene, overlay)
+    except (ValueError, OverflowError) as exc:  # empty, or beyond floats
+        raise FormatError(f"cannot render the scene: {exc}") from exc
+    _write(args.output, svg)
     return 0
 
 

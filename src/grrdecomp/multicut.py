@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .drawing import components
 from .errors import BudgetExceededError, NotATreeError
 from .geometry import frac
 
@@ -157,6 +158,15 @@ def is_multicut(inst: MulticutInstance, cut) -> bool:
     return all(
         any(e in removed for e in inst.path_edges(s, t))
         for s, t in inst.terminal_pairs)
+
+
+def cut_components(inst: MulticutInstance, cut) -> list[frozenset]:
+    """Node sets of the tree minus the cut's edges, in order of their
+    smallest node."""
+    removed = _cut_indices(inst, cut)
+    adj = inst._adj
+    return [frozenset(c) for c in components(inst.nodes, lambda x: [
+        y for y, i in adj[x] if i not in removed])]
 
 
 def multicut_weight(inst: MulticutInstance, cut) -> Fraction:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .analysis import polygon_is_grr, triangles_conflict
-from .drawing import components
 from .errors import (
     BudgetExceededError,
     CrossingDiagonalsError,
@@ -24,9 +23,9 @@ from .errors import (
 from .geometry import Polygon, improper_contact, orientation
 from .multicut import (
     EXACT_EDGE_BUDGET,
-    Cut,
     MulticutInstance,
     approx_gvy,
+    cut_components,
     solve_exact_small,
 )
 
@@ -269,28 +268,15 @@ def piece_union_polygon(tp: TriangulatedPolygon, piece) -> Polygon:
     return Polygon(tp.polygon.points[v] for v in walk)
 
 
-def _dual_multicut(tp: TriangulatedPolygon) -> MulticutInstance:
-    return MulticutInstance(tp.dual_edges, conflicting_triangle_pairs(tp))
-
-
-def _pieces_from_cut(tp: TriangulatedPolygon, cut_pairs) -> tuple:
-    removed = {tuple(sorted(e)) for e in cut_pairs}
-    adj: dict[int, list[int]] = {i: [] for i in range(tp.n_triangles)}
-    for ti, tj in tp.dual_edges:
-        if (ti, tj) not in removed:
-            adj[ti].append(tj)
-            adj[tj].append(ti)
-    pieces = components(range(tp.n_triangles), adj.__getitem__)
-    return tuple(sorted(map(frozenset, pieces), key=min))
-
-
-def _decomposition_from_cut(tp: TriangulatedPolygon,
-                            cut: Cut) -> PolygonDecomposition:
-    cut_pairs = [tuple(sorted(e)) for e in cut.edges]
-    pieces = _pieces_from_cut(tp, cut_pairs)
+def _decompose_by_multicut(tp: TriangulatedPolygon,
+                           solve) -> PolygonDecomposition:
+    """The pieces left by solve's multicut of the dual tree, each one
+    re-certified."""
+    inst = MulticutInstance(tp.dual_edges, conflicting_triangle_pairs(tp))
+    cut = solve(inst)
     dec = PolygonDecomposition(
-        pieces=pieces,
-        cut_diagonals=frozenset(tp.diagonal_of(*e) for e in cut_pairs))
+        pieces=tuple(cut_components(inst, cut)),
+        cut_diagonals=frozenset(tp.diagonal_of(*e) for e in cut.edges))
     for piece in dec.pieces:
         witness = polygon_is_grr(piece_union_polygon(tp, piece))
         if witness is not None:
@@ -309,7 +295,7 @@ def decompose_polygon_approx(tp: TriangulatedPolygon) -> PolygonDecomposition:
     if not tp.dual_edges:
         return PolygonDecomposition((frozenset(range(tp.n_triangles)),),
                                     frozenset())
-    return _decomposition_from_cut(tp, approx_gvy(_dual_multicut(tp)))
+    return _decompose_by_multicut(tp, approx_gvy)
 
 
 def decompose_polygon_exact_small(tp: TriangulatedPolygon
@@ -321,4 +307,4 @@ def decompose_polygon_exact_small(tp: TriangulatedPolygon
     if len(tp.dual_edges) > EXACT_EDGE_BUDGET:
         raise BudgetExceededError(
             f"{len(tp.dual_edges)} dual edges exceed the exact-search budget")
-    return _decomposition_from_cut(tp, solve_exact_small(_dual_multicut(tp)))
+    return _decompose_by_multicut(tp, solve_exact_small)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .analysis import conflicting_pairs, drawing_edges_conflict, first_conflict
+from .analysis import conflicting_pairs, drawing_edges_conflict
 from .drawing import (
     SPLIT_SOLVE_EDGE_BUDGET,
     Drawing,
@@ -36,7 +36,7 @@ from .drawing import (
 )
 from .errors import BudgetExceededError, GRRError
 from .geometry import hp, in_hp
-from .multicut import Cut, MulticutInstance, approx_gvy
+from .multicut import Cut, MulticutInstance, approx_gvy, cut_components
 
 CONTACT_MODES = ("proper", "noncrossing", "any")
 
@@ -173,7 +173,9 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
         elif len(edges) != len(verts) - 1:
             acyc = False
             problems.append(f"component {ci} contains a cycle")
-        found = first_conflict(drawing_edges_conflict, d, edges)
+        # per pair, in row order, up to the first conflict
+        found = next(((e, f) for e in edges for f in edges
+                      if e != f and drawing_edges_conflict(d, e, f)), None)
         if found is not None:
             confl = False
             problems.append(f"component {ci} has conflicting edges "
@@ -619,19 +621,9 @@ def multicut_to_partition(d: Drawing, inst: MulticutInstance,
                           cut: Cut) -> Partition:
     """Components of the conflict tree minus the cut, restricted to
     edge nodes, become the partition components."""
-    removed = set(cut.edges)
-    adj: dict = {n: [] for n in inst.nodes}
-    for (x, y) in inst.edges:
-        if (x, y) in removed:
-            continue
-        adj[x].append(y)
-        adj[y].append(x)
-    comps: list[frozenset[int]] = []
-    for members in components(inst.nodes, adj.__getitem__):
-        eids = [idx for kind, idx in members if kind == "e"]
-        if eids:
-            comps.append(frozenset(eids))
-    return Partition(components=tuple(sorted(comps, key=min)),
+    comps = [frozenset(idx for kind, idx in members if kind == "e")
+             for members in cut_components(inst, cut)]
+    return Partition(components=tuple(sorted(filter(None, comps), key=min)),
                      contact_mode="proper")
 
 

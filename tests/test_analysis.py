@@ -61,7 +61,7 @@ from grrdecomp.geometry import (
     sq_dist,
 )
 from grrdecomp.oracle import chord_property_oracle, random_tree_drawing
-from grrdecomp.polydecomp import build_dual_tree
+from grrdecomp.polydecomp import build_dual_tree, piece_union_polygon
 from grrdecomp.analysis import triangles_conflict
 
 
@@ -98,7 +98,7 @@ def test_drawing_conflict_witness_is_sound():
 
 
 def test_conflicting_pairs_builds_no_witness_points(count_calls):
-    # a witness's foot and hit are clipped only when first read
+    # the whole-drawing scan decides on slab rows and clips no witness
     d = sun_drawing(random.Random(40), 40)
     built = count_calls(Point, "__post_init__")
     pairs = conflicting_pairs(d)
@@ -106,9 +106,7 @@ def test_conflicting_pairs_builds_no_witness_points(count_calls):
     assert len(pairs) == 810
     ws = [w for e in range(d.n_edges) for f in range(d.n_edges) if e != f
           for w in [drawing_edges_conflict(d, e, f)] if w is not None]
-    assert built() == 0
     assert len(ws) == 1239
-    # the repr reads p and hit; the digest is the eager witnesses'
     assert repr(ws[0]) == ("ConflictWitness(e=0, f=1, p=(31412399/63005, "
                            "250298/63005), hit=(498, 151/2))")
     assert hashlib.sha256(repr(ws).encode()).hexdigest() == (
@@ -139,11 +137,49 @@ def test_conflicting_pairs_match_the_per_pair_scan(tree_corpus):
             drawing_edges_conflict, d, d.n_edges)
 
 
-def test_polygon_conflicting_pairs_match_the_per_pair_scan(polygon_corpus):
+def _corpus_polygons(polygon_corpus):
+    """Every corpus polygon, the U-shape and every certified piece."""
     polys = [rec["tp"].polygon for rec in polygon_corpus] + [ushape_polygon()]
-    for poly in polys:
+    polys += [piece_union_polygon(rec["tp"], piece) for rec in polygon_corpus
+              for dec in (rec["exact"], rec["approx"]) for piece in dec.pieces]
+    return polys
+
+
+def test_polygon_conflicting_pairs_match_the_per_pair_scan(polygon_corpus):
+    for poly in _corpus_polygons(polygon_corpus):
         assert polygon_conflicting_edge_pairs(poly) == _reference_pairs(
             polygon_edges_conflict, poly, poly.n)
+
+
+def test_polygon_is_grr_gives_the_per_pair_scans_first_witness(polygon_corpus):
+    verdicts = Counter()
+    for poly in _corpus_polygons(polygon_corpus):
+        first = next((w for e in range(poly.n) for f in range(poly.n)
+                      if e != f for w in [polygon_edges_conflict(poly, e, f)]
+                      if w is not None), None)
+        assert repr(polygon_is_grr(poly)) == repr(first)
+        verdicts[first is None] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 50, verdicts
+
+
+def test_tree_increasing_chord_matches_the_per_pair_scan(tree_corpus):
+    # seeded connected subtrees, grown one adjacent edge at a time
+    rng = random.Random(1616)
+    verdicts = Counter()
+    for rec in tree_corpus["records"]:
+        d = rec["drawing"]
+        for _ in range(4):
+            sub = [rng.randrange(d.n_edges)]
+            for _ in range(rng.randint(0, d.n_edges - 1)):
+                grow = sorted({g for e in sub for v in d.edges[e]
+                               for g in d.adjacency[v]} - set(sub))
+                if grow:
+                    sub.append(rng.choice(grow))
+            by_pairs = not any(drawing_edges_conflict(d, e, f)
+                               for e in sub for f in sub if e != f)
+            assert tree_increasing_chord(d, sub) == by_pairs
+            verdicts[by_pairs] += 1
+    assert min(verdicts[True], verdicts[False]) > 100, verdicts
 
 
 def test_whole_drawing_scans_read_one_slab_row_per_edge(count_calls):
@@ -152,8 +188,15 @@ def test_whole_drawing_scans_read_one_slab_row_per_edge(count_calls):
     subs = count_calls(LatticePoint, "__sub__")
     conflicting_pairs(d)
     scan = subs()
+    assert not tree_increasing_chord(d, range(d.n_edges))
+    assert tree_increasing_chord(d, [0])
+    u = ushape_polygon()
+    assert polygon_is_grr(u) is not None
+    assert polygon_conflicting_edge_pairs(u) == ((1, 5), (3, 5), (3, 7))
+    assert projections() == 0
+    before = subs()
     sd = subdivide(d)
-    refine = subs() - scan
+    refine = subs() - before
     # validating the refined drawing subtracts on its own account
     before = subs()
     validate_drawing(sd.drawing.points.items(), sd.drawing.edges)

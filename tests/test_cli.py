@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import sawtooth
 from grrdecomp import analysis, cli, drawing, geometry, treedecomp
@@ -360,6 +362,20 @@ def test_non_finite_coordinate_exits_1_without_traceback(
         "", f"error: vertices[1].y: expected a finite number, got {shown}\n")
 
 
+@pytest.mark.parametrize("doc, why", [
+    ({"vertices": [], "edges": []}, "nothing to render"),
+    ({"vertices": [{"id": 0, "x": "0", "y": "0"},
+                   {"id": 1, "x": "1e400", "y": "0"}], "edges": [[0, 1]]},
+     "integer division result too large for a float"),
+], ids=["empty", "beyond-float"])
+def test_unrenderable_scene_exits_1_without_traceback(files, capsys, doc,
+                                                      why):
+    f = files("d.json", json.dumps(doc))
+    assert main(["render", f]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot render the scene: {why}\n")
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no integer digit limit")
 def test_integer_literal_beyond_the_digit_limit_exits_1(files, capsys):
@@ -461,3 +477,119 @@ def test_fixture_transcripts_are_golden(tmp_path, monkeypatch, capsys):
             h.update(repr((argv, code, out, err)).encode())
     assert h.hexdigest() == (
         "e25c7981dd62a6603ddbf09ce2a9206cb0cda411f7d52765d15f0790a15366a4")
+
+
+# -- fuzz: no input makes a command raise --------------------------------------
+
+FUZZ_FORMS = (
+    ["check-drawing"], ["check-polygon"], ["subdivide"], ["render"],
+    ["decompose-tree"], ["decompose-tree", "--contacts", "noncrossing"],
+    ["decompose-tree", "--mode", "approx2", "--allow-splits"],
+    ["decompose-polygon"], ["decompose-polygon", "--mode", "exact-small"],
+    ["route", "--from=1,1", "--to=1/2,3"],
+)
+FUZZ_VALUES = (None, True, -1, 0, 7, 2.5, "", "x", "1/0", "nan", "-Infinity",
+               "1e400", "3/7", str(10 ** 30 + 1), f"{10 ** 30 - 1}/{10 ** 30}",
+               [], {}, [0, 1], [[0, 1]], {"id": 0})
+
+
+def _leaves(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for child in node for x in _leaves(child)]
+    return [node]
+
+
+def _mutate(rng, doc):
+    """doc with one seeded change somewhere inside it: a value replaced by
+    one of FUZZ_VALUES or by another value of doc, which moves a point
+    onto another's coordinate or an edge onto another vertex, a list
+    entry dropped, repeated or swapped, or a key removed."""
+    values = _leaves(doc) + list(FUZZ_VALUES)
+    parent, key = doc, rng.choice(sorted(doc))
+    while (isinstance(parent[key], (list, dict)) and parent[key]
+           and rng.random() < 0.85):
+        parent = parent[key]
+        key = (rng.randrange(len(parent)) if isinstance(parent, list)
+               else rng.choice(sorted(parent)))
+    how = rng.randrange(4)
+    if how == 3:
+        del parent[key]
+    elif how == 0 or isinstance(parent, dict):
+        parent[key] = rng.choice(values)
+    elif how == 1:
+        parent.insert(key, parent[key])
+    else:
+        parent[key], parent[-1] = parent[-1], parent[key]
+    return doc
+
+
+def _run_all_forms(path, text):
+    """Every fuzz command form on one document: each exits 0, 1 or 2 and
+    no exception escapes main."""
+    path.write_text(text, encoding="utf-8")
+    for form in FUZZ_FORMS:
+        argv = [form[0], str(path), *form[1:]]
+        assert main(argv) in (0, 1, 2), argv
+
+
+def test_cli_fuzz_mutated_fixtures(tmp_path, capsys):
+    rng = random.Random(1616)
+    path = tmp_path / "doc.json"
+    for src in sorted(FIXTURE_DIR.glob("*.json")):
+        text = src.read_text(encoding="utf-8")
+        for _ in range(16):
+            doc = json.loads(text)
+            for _ in range(rng.choice((1, 1, 2))):
+                doc = _mutate(rng, doc)
+            _run_all_forms(path, json.dumps(doc))
+        # a cut-off document is malformed JSON
+        _run_all_forms(path, text[:rng.randrange(len(text))])
+        capsys.readouterr()
+
+
+# collinear and overlapping edges come from a 3 x 3 grid; the big
+# values put numerators around 10**30 on the same grid
+_FUZZ_COORD = st.one_of(
+    st.integers(-1, 1).map(str),
+    st.integers(-1, 1).map(lambda k: f"{k * 10 ** 30 + 1}/{10 ** 30}"),
+    st.sampled_from(FUZZ_VALUES))
+
+
+@st.composite
+def _fuzz_documents(draw):
+    n = draw(st.integers(0, 6))
+    ids = st.integers(-1, n)
+    doc = {"vertices": [{"id": draw(st.one_of(st.just(i), ids)),
+                         "x": draw(_FUZZ_COORD), "y": draw(_FUZZ_COORD)}
+                        for i in range(n)]}
+    pairs = st.lists(st.one_of(st.tuples(ids, ids).map(list),
+                               st.lists(ids, max_size=3)), max_size=n + 1)
+    if draw(st.booleans()):
+        doc["edges"] = draw(pairs)
+    else:
+        doc["boundary"] = draw(st.one_of(st.permutations(range(n)),
+                                         st.lists(ids, max_size=n + 1)))
+        doc["diagonals"] = draw(pairs)
+    return doc
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+              st.sampled_from(["", "1/2", "edges", "vertices"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["vertices", "edges", "boundary",
+                                         "diagonals", "id", "x", "y"]),
+                        inner, max_size=4)),
+    max_leaves=8)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(st.one_of(_fuzz_documents(), _JSON))
+def test_cli_fuzz_generated_documents(tmp_path, capsys, doc):
+    _run_all_forms(tmp_path / "doc.json", json.dumps(doc))
+    capsys.readouterr()

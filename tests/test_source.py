@@ -1,9 +1,11 @@
 """Guards over the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import grrdecomp
+from grrdecomp import multicut
 
 
 def test_package_has_no_assert_statements():
@@ -15,3 +17,37 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _perfbench_spans() -> dict:
+    """The names perfbench/spans.py defines, run from its source text so
+    that nothing is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    names: dict = {"__name__": "perfbench_spans"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), names)
+    return names
+
+
+def test_bench_tracer_names_resolve_in_the_package():
+    # the bench's tracer rebinds these by name; a renamed or deleted
+    # function would stop it with an AttributeError
+    spans = _perfbench_spans()
+    for table in (spans["SPANNED"], spans["COUNTED"]):
+        for home, names in table.items():
+            module = importlib.import_module(f"grrdecomp.{home}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{home}.{name}"
+    assert callable(multicut.MulticutInstance.path_edges)
+    # self times are split by call site, so these sites must call the
+    # function by the name they bind
+    for key in (k for keys in spans["SELF_TIME"].values() for k in keys):
+        if isinstance(key, tuple):
+            (home, name), site = key[0].split("."), key[1]
+            module = importlib.import_module(f"grrdecomp.{site}")
+            fn = getattr(importlib.import_module(f"grrdecomp.{home}"), name)
+            assert vars(module).get(name) is fn, key
+            calls = {node.func.id for node in ast.walk(ast.parse(
+                Path(module.__file__).read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)}
+            assert name in calls, key
