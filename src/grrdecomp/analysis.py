@@ -8,7 +8,8 @@ routability, so everything in this package reduces to them.
 
 Every scan over a whole edge set reads slab_hits, one integer slab row
 per edge; drawing_edges_conflict and polygon_edges_conflict decide one
-ordered pair. A conflict always comes with its ConflictWitness.
+ordered pair. Every decision is made on integers, and a conflict always
+comes with its ConflictWitness, clipped on Fractions once it is found.
 """
 from __future__ import annotations
 
@@ -111,6 +112,37 @@ def _slab_witness(ea: Point, eb: Point, seg: Segment,
     return None if _misses_slab(*proj) else _clip(ea, eb, seg, proj, outward)
 
 
+def _outward_open(ea, eb, fa, fb, proj) -> bool:
+    """Is _clip(ea, eb, seg, proj, outward) not None, for seg = fa-fb and
+    e's outward normal, decided on the LatticePoints of e and f?
+
+    The clip's lower bounds are 0, the smaller slab root and, for a > 0,
+    the outward root -b/a; its upper bounds are 1, the larger slab root
+    and, for a < 0, the outward root. Written as ratios over positive
+    denominators, the clip is open iff every lower bound is below every
+    upper bound, which cross-multiplication decides on integers.
+    """
+    s0, s1, dd = proj
+    dx, dy = eb[0] - ea[0], eb[1] - ea[1]
+    a = (fb[0] - fa[0]) * dy - (fb[1] - fa[1]) * dx
+    b = (fa[0] - ea[0]) * dy - (fa[1] - ea[1]) * dx
+    den = s0 - s1
+    # the slab roots as lo/den < hi/den; an f along e's normals has none
+    if den > 0:
+        lo, hi = s0 - dd, s0
+    elif den < 0:
+        lo, hi, den = -s0, dd - s0, -den
+    else:
+        lo, hi, den = 0, 1, 1
+    if lo >= den or hi <= 0:
+        return False
+    if a > 0:
+        return -b < a and -b * den < hi * a
+    if a < 0:
+        return b > 0 and -lo * a < b * den
+    return b > 0
+
+
 def slab_hits(lat, ends, ids):
     """(e, f, proj) for the ordered pairs of distinct edges e, f of ids,
     row by row in the order of ids, where f meets the open slab of e.
@@ -137,8 +169,9 @@ def drawing_edges_conflict(d: Drawing, e: int, f: int) -> Optional[ConflictWitne
     """
     m = d.n_edges
     for idx in (e, f):
-        if not 0 <= idx < m:
-            raise UnknownEdgeError(f"edge index {idx} out of range")
+        # type, not isinstance: a bool is no index
+        if type(idx) is not int or not 0 <= idx < m:
+            raise UnknownEdgeError(f"edge index {idx!r} out of range")
     if e == f:
         raise ValueError("conflict test needs two distinct edges")
     lat, (u, v), (a, b) = d.lattice, d.edges[e], d.edges[f]
@@ -158,12 +191,17 @@ def conflicting_pairs(d: Drawing) -> tuple[tuple[int, int], ...]:
 def _outward_witness(poly: Polygon, e: int, f: int, proj
                      ) -> Optional[ConflictWitness]:
     """The witness that boundary edge e's outward normal rays strike f,
-    which meets e's open slab with projections proj, else None."""
+    which meets e's open slab with projections proj, else None. The
+    lattice decides; only a hit is clipped on the Fraction points."""
+    lat, n = poly.lattice, poly.n
+    if not _outward_open(lat[e], lat[(e + 1) % n], lat[f], lat[(f + 1) % n],
+                         proj):
+        return None
     se = poly.edge(e)
     dirv = se.direction()
     outward = Point(dirv.y, -dirv.x)  # right of a ccw boundary edge
-    res = _clip(se.a, se.b, poly.edge(f), proj, outward)
-    return None if res is None else ConflictWitness(e, f, *res)
+    return ConflictWitness(e, f, *_clip(se.a, se.b, poly.edge(f), proj,
+                                        outward))
 
 
 def polygon_edges_conflict(poly: Polygon, e: int, f: int
@@ -171,12 +209,12 @@ def polygon_edges_conflict(poly: Polygon, e: int, f: int
     """Does an outward normal ray at an interior point of boundary edge e
     meet boundary edge f?
 
-    Edges that miss the open slab are rejected on the polygon's integer
-    lattice; the outward clip runs on the Fraction points.
+    The slab test and the outward clip are decided on the polygon's
+    integer lattice; a hit's witness is clipped on the Fraction points.
     """
     for idx in (e, f):
-        if not 0 <= idx < poly.n:
-            raise UnknownEdgeError(f"boundary edge index {idx} out of range")
+        if type(idx) is not int or not 0 <= idx < poly.n:
+            raise UnknownEdgeError(f"boundary edge index {idx!r} out of range")
     if e == f:
         raise ValueError("conflict test needs two distinct edges")
     lat, n = poly.lattice, poly.n
@@ -186,7 +224,7 @@ def polygon_edges_conflict(poly: Polygon, e: int, f: int
 
 def _polygon_witnesses(poly: Polygon):
     """Witnesses of the conflicting ordered boundary edge pairs, row by
-    row: each slab hit goes straight to the outward clip."""
+    row: each slab hit goes straight to the integer outward clip."""
     n = poly.n
     ends = [(i, (i + 1) % n) for i in range(n)]
     for e, f, proj in slab_hits(poly.lattice, ends, range(n)):
@@ -239,7 +277,7 @@ def triangles_conflict(tp, i: int, j: int) -> bool:
     """
     nt = len(tp.triangles)
     for k in (i, j):
-        if not (isinstance(k, int) and 0 <= k < nt):
+        if type(k) is not int or not 0 <= k < nt:
             raise UnknownTriangleError(f"no triangle {k!r}")
     if i == j:
         raise SameTriangleError("a triangle does not conflict with itself")

@@ -36,6 +36,7 @@ from grrdecomp.errors import (
     InvalidPathFamilyError,
     PointOutsidePolygonError,
     SameTriangleError,
+    UnknownEdgeError,
     UnknownTriangleError,
 )
 from grrdecomp.fixtures import (
@@ -160,6 +161,32 @@ def test_polygon_is_grr_gives_the_per_pair_scans_first_witness(polygon_corpus):
         assert repr(polygon_is_grr(poly)) == repr(first)
         verdicts[first is None] += 1
     assert verdicts[True] > 100 and verdicts[False] > 50, verdicts
+
+
+def test_polygon_scans_clip_a_witness_only_for_a_conflict(polygon_corpus,
+                                                         count_calls):
+    # the lattice decides every slab hit; the Fraction clip runs once per
+    # conflicting ordered pair, to build its witness
+    clips = count_calls(analysis, "_clip")
+    for rec in polygon_corpus:
+        for dec in (rec["exact"], rec["approx"]):
+            for piece in dec.pieces:
+                assert polygon_is_grr(piece_union_polygon(rec["tp"], piece)) is None
+    assert clips() == 0
+    clipped = 0
+    for poly in _corpus_polygons(polygon_corpus):
+        before = clips()
+        polygon_conflicting_edge_pairs(poly)
+        made = clips() - before
+        ordered = sum(polygon_edges_conflict(poly, e, f) is not None
+                      for e in range(poly.n) for f in range(poly.n) if e != f)
+        assert made == ordered
+        clipped += made
+    assert clipped > 100
+    u = ushape_polygon()
+    before = clips()
+    assert polygon_is_grr(u) is not None
+    assert clips() - before == 1
 
 
 def test_tree_increasing_chord_matches_the_per_pair_scan(tree_corpus):
@@ -482,6 +509,19 @@ def test_triangles_conflict_guards():
         triangles_conflict(tp, 2, 2)
     with pytest.raises(UnknownTriangleError):
         triangles_conflict(tp, 0, 17)
+
+
+@pytest.mark.parametrize("bad", ["1", 1.0, None, True, False])
+def test_conflict_predicates_reject_non_int_indices(bad):
+    # bool is an int subclass, but True is no edge number
+    d, poly, tp = plus_drawing(), lshape_polygon(), ushape_tp()
+    for args in ((bad, 2), (2, bad)):
+        with pytest.raises(UnknownEdgeError):
+            drawing_edges_conflict(d, *args)
+        with pytest.raises(UnknownEdgeError):
+            polygon_edges_conflict(poly, *args)
+        with pytest.raises(UnknownTriangleError):
+            triangles_conflict(tp, *args)
 
 
 def test_triangles_conflict_ushape():

@@ -9,6 +9,8 @@ denominators, collinear and parallel edges and numerators up to
 so the suite stays reproducible.
 """
 import functools
+import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -21,9 +23,13 @@ from conftest import (
 from grrdecomp import drawing, geometry
 from grrdecomp.analysis import (
     ConflictWitness,
+    _clip,
+    _misses_slab,
+    _outward_open,
     _slab_witness,
     drawing_edges_conflict,
     polygon_edges_conflict,
+    slab_hits,
 )
 from grrdecomp.drawing import Drawing, validate_drawing
 from grrdecomp.errors import GRRError
@@ -37,9 +43,11 @@ from grrdecomp.geometry import (
     dot,
     improper_contact,
     lattice,
+    pt,
     segment_intersection,
+    slab_projections,
 )
-from grrdecomp.polydecomp import build_dual_tree
+from grrdecomp.polydecomp import build_dual_tree, piece_union_polygon
 
 BIG = 10 ** 30
 DENOMS = (1, 2, 3, 7, 12, 997, 10 ** 6 + 3, 2 ** 61 - 1)
@@ -150,6 +158,92 @@ def test_polygon_conflicts_match_fraction_witnesses(pts):
             if e != f:
                 assert polygon_edges_conflict(poly, e, f) == fraction_witness(
                     se.a, se.b, poly.edge(f), outward, e, f), (e, f)
+
+
+def outward_agreement(ea, eb, fa, fb):
+    """(_outward_open, _clip is not None, proj, a, b) for e = ea-eb with
+    its outward normal and f = fa-fb, both on Fraction points: the
+    decision reads their common lattice, the clip the Fraction points
+    with the same slab projections. a and b are f's direction and start
+    against the outward normal, whose root on f is -b/a."""
+    la, lb, lc, ld = lattice((ea, eb, fa, fb))
+    proj = slab_projections(la, lb, lc, ld)
+    de = eb - ea
+    outward = Point(de.y, -de.x)
+    want = _clip(ea, eb, Segment(fa, fb), proj, outward) is not None
+    a, b = dot(fb - fa, outward), dot(fa - ea, outward)
+    return _outward_open(la, lb, lc, ld, proj), want, proj, a, b
+
+
+@settings(PROPERTY, max_examples=200)
+@given(point_sets(min_size=4, max_size=4))
+def test_integer_outward_decision_matches_the_clip(pts):
+    ea, eb, fa, fb = pts
+    # e either way round, so both normals of e meet f
+    for e in ((ea, eb), (eb, ea)):
+        got, want, *_ = outward_agreement(*e, fa, fb)
+        assert got == want
+
+
+def outward_boundary_cases(proj, a, b) -> list[str]:
+    """The boundary cases of _clip's interval that one draw hits."""
+    s0, s1, dd = proj
+    cases = []
+    if a == 0:
+        cases.append("outward-parallel f")
+    elif b == 0 or a + b == 0:
+        cases.append("outward root at an end of f")
+    if s0 in (0, dd) or s1 in (0, dd):
+        cases.append("slab root at 0 or 1")
+    lows, highs = [Fraction(0)], [Fraction(1)]
+    if s0 != s1:
+        r0, r1 = Fraction(s0, s0 - s1), Fraction(s0 - dd, s0 - s1)
+        lows.append(min(r0, r1))
+        highs.append(max(r0, r1))
+    if a != 0:
+        (lows if a > 0 else highs).append(Fraction(-b) / a)
+    if max(lows) == min(highs):
+        cases.append("lo == hi")
+    return cases
+
+
+def test_integer_outward_decision_fuzz_covers_the_boundary_cases():
+    # a small half-integer grid makes shared ends, parallel and collinear
+    # edges and roots on the clip's ends common
+    rng = random.Random(20261020)
+    grid = [Fraction(k, 2) for k in range(-4, 5)]
+    seen: Counter = Counter()
+    for _ in range(4000):
+        ea, eb, fa, fb = (pt(rng.choice(grid), rng.choice(grid))
+                          for _ in range(4))
+        if ea == eb or fa == fb:
+            continue
+        got, want, proj, a, b = outward_agreement(ea, eb, fa, fb)
+        assert got == want, (ea, eb, fa, fb)
+        if not _misses_slab(*proj):
+            seen["open" if want else "closed"] += 1
+            seen.update(outward_boundary_cases(proj, a, b))
+    assert len(seen) == 6 and min(seen.values()) >= 50, seen
+
+
+def test_integer_outward_decision_on_every_corpus_slab_hit(polygon_corpus):
+    polys = [rec["tp"].polygon for rec in polygon_corpus]
+    polys += [piece_union_polygon(rec["tp"], piece) for rec in polygon_corpus
+              for dec in (rec["exact"], rec["approx"]) for piece in dec.pieces]
+    verdicts: Counter = Counter()
+    for poly in polys:
+        lat, n = poly.lattice, poly.n
+        ends = [(i, (i + 1) % n) for i in range(n)]
+        for e, f, proj in slab_hits(lat, ends, range(n)):
+            se = poly.edge(e)
+            de = se.direction()
+            want = _clip(se.a, se.b, poly.edge(f), proj,
+                         Point(de.y, -de.x)) is not None
+            assert _outward_open(lat[e], lat[(e + 1) % n], lat[f],
+                                 lat[(f + 1) % n], proj) == want, (poly, e, f)
+            verdicts[want] += 1
+    # 7,519 slab hits, of which 848 are conflicts
+    assert (verdicts[True], verdicts[False]) == (848, 6671)
 
 
 @st.composite
