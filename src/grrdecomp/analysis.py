@@ -8,8 +8,11 @@ routability, so everything in this package reduces to them.
 
 Every scan over a whole edge set reads slab_hits, one integer slab row
 per edge; drawing_edges_conflict and polygon_edges_conflict decide one
-ordered pair. Every decision is made on integers, and a conflict always
-comes with its ConflictWitness, clipped on Fractions once it is found.
+ordered pair. triangle_strip_hits scans the triangle pairs of a
+triangulation with one strip_codes row per strip and side, and
+triangles_conflict decides one pair with the same strip test. Every
+decision is made on integers; a predicate that reports a conflict gives
+its ConflictWitness, clipped on Fractions once the conflict is found.
 """
 from __future__ import annotations
 
@@ -41,7 +44,10 @@ from .geometry import (
     segment_intersection,
     slab_projections,
     slab_row,
+    strip_codes,
+    strip_frame,
     strip_meets_open_triangle,
+    strip_reaches,
 )
 
 
@@ -188,15 +194,10 @@ def conflicting_pairs(d: Drawing) -> tuple[tuple[int, int], ...]:
                          slab_hits(d.lattice, d.edges, range(d.n_edges))}))
 
 
-def _outward_witness(poly: Polygon, e: int, f: int, proj
-                     ) -> Optional[ConflictWitness]:
+def _outward_witness(poly: Polygon, e: int, f: int, proj) -> ConflictWitness:
     """The witness that boundary edge e's outward normal rays strike f,
-    which meets e's open slab with projections proj, else None. The
-    lattice decides; only a hit is clipped on the Fraction points."""
-    lat, n = poly.lattice, poly.n
-    if not _outward_open(lat[e], lat[(e + 1) % n], lat[f], lat[(f + 1) % n],
-                         proj):
-        return None
+    for a pair that _outward_open accepts with projections proj, clipped
+    on the Fraction points."""
     se = poly.edge(e)
     dirv = se.direction()
     outward = Point(dirv.y, -dirv.x)  # right of a ccw boundary edge
@@ -218,31 +219,36 @@ def polygon_edges_conflict(poly: Polygon, e: int, f: int
     if e == f:
         raise ValueError("conflict test needs two distinct edges")
     lat, n = poly.lattice, poly.n
-    proj = slab_projections(lat[e], lat[(e + 1) % n], lat[f], lat[(f + 1) % n])
-    return None if _misses_slab(*proj) else _outward_witness(poly, e, f, proj)
+    ea, eb, fa, fb = lat[e], lat[(e + 1) % n], lat[f], lat[(f + 1) % n]
+    proj = slab_projections(ea, eb, fa, fb)
+    if _misses_slab(*proj) or not _outward_open(ea, eb, fa, fb, proj):
+        return None
+    return _outward_witness(poly, e, f, proj)
 
 
-def _polygon_witnesses(poly: Polygon):
-    """Witnesses of the conflicting ordered boundary edge pairs, row by
-    row: each slab hit goes straight to the integer outward clip."""
-    n = poly.n
+def _polygon_hits(poly: Polygon):
+    """(e, f, proj) for the conflicting ordered boundary edge pairs, row
+    by row: each slab hit goes straight to the integer outward clip."""
+    lat, n = poly.lattice, poly.n
     ends = [(i, (i + 1) % n) for i in range(n)]
-    for e, f, proj in slab_hits(poly.lattice, ends, range(n)):
-        w = _outward_witness(poly, e, f, proj)
-        if w is not None:
-            yield w
+    for e, f, proj in slab_hits(lat, ends, range(n)):
+        if _outward_open(lat[e], lat[(e + 1) % n], lat[f], lat[(f + 1) % n],
+                         proj):
+            yield e, f, proj
 
 
 def polygon_is_grr(poly: Polygon) -> Optional[ConflictWitness]:
     """None when the polygon is greedily routable, else the first witness
     in boundary-index order."""
-    return next(_polygon_witnesses(poly), None)
+    hit = next(_polygon_hits(poly), None)
+    return None if hit is None else _outward_witness(poly, *hit)
 
 
 def polygon_conflicting_edge_pairs(poly: Polygon) -> tuple[tuple[int, int], ...]:
-    """Unordered boundary edge pairs that conflict in some direction."""
-    return tuple(sorted({(w.e, w.f) if w.e < w.f else (w.f, w.e)
-                         for w in _polygon_witnesses(poly)}))
+    """Unordered boundary edge pairs that conflict in some direction,
+    decided on the lattice alone."""
+    return tuple(sorted({(e, f) if e < f else (f, e)
+                         for e, f, _ in _polygon_hits(poly)}))
 
 
 def _dual_step_toward(tp, i: int, j: int) -> int:
@@ -282,6 +288,62 @@ def triangles_conflict(tp, i: int, j: int) -> bool:
     if i == j:
         raise SameTriangleError("a triangle does not conflict with itself")
     return _strips_reach(tp, i, j) or _strips_reach(tp, j, i)
+
+
+def triangle_strip_hits(tp):
+    """(i, j) for the ordered triangle pairs where a strip of i reaches
+    j, skipping (j, i) once (i, j) is yielded: triangles_conflict(tp, i,
+    j) holds iff the scan yields (i, j) or (j, i).
+
+    Each side (i, nb) of the dual tree fixes i's two strips, swept from
+    its edges other than the diagonal u-v shared with nb. Each strip's
+    frame is built once, and one strip_codes row covers the vertices of
+    nb's branch, the dual subtree on nb's side of i, which are the
+    boundary run from u to v that misses i's apex. Each triangle of the
+    branch reads its three entries in strip_reaches.
+    """
+    tris, lat, parent = tp.triangles, tp.polygon.lattice, tp.parent
+    n = len(lat)
+    # a preorder of the dual tree: each subtree is one run of it
+    pre, stack = [], [0]
+    while stack:
+        x = stack.pop()
+        pre.append(x)
+        stack.extend(y for y in tp.dual_adjacency[x] if y != parent[x])
+    start = [0] * len(tris)
+    for k, x in enumerate(pre):
+        start[x] = k
+    size = [1] * len(tris)
+    for x in reversed(pre[1:]):
+        size[parent[x]] += size[x]
+    reached = [set() for _ in tris]  # the i < j whose strips reach j
+    codes = [0] * n
+    for i, tri in enumerate(tris):
+        known = reached[i]
+        for nb in tp.dual_adjacency[i]:
+            if nb == parent[i]:
+                branch = pre[:start[i]] + pre[start[i] + size[i]:]
+            else:
+                branch = pre[start[nb]:start[nb] + size[nb]]
+            if known:
+                branch = [j for j in branch if j not in known]
+            u, v = tp.diagonal_of(i, nb)
+            c = next(k for k in tri if k != u and k != v)
+            runs = ((v, n), (0, u + 1)) if u < c < v else ((u, v + 1),)
+            for a, b in ((u, v), (v, u)):
+                if not branch:
+                    break
+                frame = strip_frame(lat[a], lat[c], lat[b])
+                for lo, hi in runs:
+                    codes[lo:hi] = strip_codes(frame, lat[lo:hi])
+                hits = strip_reaches(frame, codes, lat, tris, branch)
+                for j in hits:
+                    yield i, j
+                    if j > i:
+                        reached[j].add(i)
+                if hits:
+                    hits = set(hits)
+                    branch = [j for j in branch if j not in hits]
 
 
 # -- increasing-chord predicates ----------------------------------------------

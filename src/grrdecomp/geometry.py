@@ -4,8 +4,8 @@ Every coordinate is a fractions.Fraction and every predicate is decided
 exactly; nothing in this module touches floating point. Floats are
 rejected at construction time so binary rounding can never leak in.
 Each drawing and polygon also maps its vertices once onto an integer
-lattice (lattice()); dot, cross, slab_projections, hp, in_hp and
-strip_meets_open_triangle run unchanged on either form.
+lattice (lattice()); dot, cross, slab_projections, hp, in_hp and the
+halfstrip tests run unchanged on either form.
 """
 from __future__ import annotations
 
@@ -317,37 +317,69 @@ def in_hp(h: Halfplane, r: Point) -> bool:
 
 # -- halfstrips ---------------------------------------------------------------
 
-def strip_meets_open_triangle(a, b, c, t0, t1, t2) -> bool:
-    """Does the closed halfstrip swept from base a-b away from c meet the
-    open counterclockwise triangle t0 t1 t2?
-
-    Points are plain (x, y) pairs of one exact number type, so the same
-    rule runs on Fractions and on integer lattice coordinates: every test
-    is the sign of a product of coordinate differences. The strip has an
-    interior and the triangle is open, so they meet iff their interiors
-    do, iff no separating axis exists among the strip's three sides and
-    the triangle's three edges.
-    """
+def strip_frame(a, b, c):
+    """The closed halfstrip swept from base a-b away from c, as (a, b,
+    de, n, dd): de = b - a, n a normal to the base pointing away from c
+    and dd = dot(de, de). Points are plain (x, y) pairs of one exact
+    number type; a point p lies in the strip iff dot(p - a, de) is in
+    [0, dd] and dot(p - a, n) >= 0."""
     ax, ay = a
     dx, dy = b[0] - ax, b[1] - ay
     nx, ny = -dy, dx
     if (c[0] - ax) * nx + (c[1] - ay) * ny > 0:
         nx, ny = dy, -dx
-    tri = (t0, t1, t2)
-    along = [(x - ax) * dx + (y - ay) * dy for x, y in tri]
-    if max(along) <= 0 or min(along) >= dx * dx + dy * dy:
-        return False
-    if all((x - ax) * nx + (y - ay) * ny <= 0 for x, y in tri):
-        return False
-    bx, by = b
-    for (ux, uy), (vx, vy) in ((t0, t1), (t1, t2), (t2, t0)):
-        ex, ey = vx - ux, vy - uy
-        # the strip lies on the closed outer side of this edge: its
-        # recession direction n and both base corners do
-        if (ex * ny <= ey * nx and ex * (ay - uy) <= ey * (ax - ux)
-                and ex * (by - uy) <= ey * (bx - ux)):
-            return False
-    return True
+    return a, b, (dx, dy), (nx, ny), dx * dx + dy * dy
+
+
+def strip_codes(frame, pts) -> list[int]:
+    """For each p of pts, in order, the strip sides that p lies beyond,
+    as bits of an int for the strip_frame (a, b, de, n, dd): 1 when
+    dot(p - a, de) <= 0, 2 when dot(p - a, de) >= dd, 4 when
+    dot(p - a, n) <= 0."""
+    (ax, ay), _, (dx, dy), (nx, ny), dd = frame
+    base, nbase = ax * dx + ay * dy, ax * nx + ay * ny
+    return [((s := x * dx + y * dy - base) <= 0) | ((s >= dd) << 1)
+            | ((x * nx + y * ny - nbase <= 0) << 2) for x, y in pts]
+
+
+def strip_reaches(frame, codes, pts, triangles, ids) -> list:
+    """The ids j, in order, whose open counterclockwise triangle with
+    vertices pts[k] for k in triangles[j] meets the strip of frame;
+    codes[k] is the strip_codes entry of pts[k].
+
+    The strip has an interior and the triangle is open, so they meet iff
+    their interiors do, iff no separating axis exists among the strip's
+    three sides and the triangle's three edges. A bit that all three
+    codes share is a strip side with the triangle beyond it; every other
+    test is the sign of a product of coordinate differences, so the rule
+    runs on Fractions and on lattice integers.
+    """
+    (ax, ay), (bx, by), _, (nx, ny), _ = frame
+    out = []
+    for j in ids:
+        p, q, r = triangles[j]
+        if codes[p] & codes[q] & codes[r]:
+            continue
+        t0, t1, t2 = pts[p], pts[q], pts[r]
+        for (ux, uy), (vx, vy) in ((t0, t1), (t1, t2), (t2, t0)):
+            ex, ey = vx - ux, vy - uy
+            # the strip lies on the closed outer side of this edge: its
+            # recession direction n and both base corners do
+            if (ex * ny <= ey * nx and ex * (ay - uy) <= ey * (ax - ux)
+                    and ex * (by - uy) <= ey * (bx - ux)):
+                break
+        else:
+            out.append(j)
+    return out
+
+
+def strip_meets_open_triangle(a, b, c, t0, t1, t2) -> bool:
+    """Does the closed halfstrip swept from base a-b away from c meet the
+    open counterclockwise triangle t0 t1 t2? strip_reaches on one
+    triangle."""
+    frame, tri = strip_frame(a, b, c), (t0, t1, t2)
+    return bool(strip_reaches(frame, strip_codes(frame, tri), tri,
+                              ((0, 1, 2),), (0,)))
 
 
 # -- polygons -----------------------------------------------------------------

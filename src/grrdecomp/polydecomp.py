@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .analysis import polygon_is_grr, triangles_conflict
+from .analysis import polygon_is_grr, triangle_strip_hits
 from .errors import (
     BudgetExceededError,
     CrossingDiagonalsError,
@@ -127,7 +127,8 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
         except (TypeError, ValueError):
             raise InvalidTriangulationError(
                 f"diagonal {pair!r} is not a vertex pair") from None
-        if not (isinstance(a, int) and isinstance(b, int)
+        # type, not isinstance: a bool is no index
+        if not (type(a) is int and type(b) is int
                 and 0 <= a < n and 0 <= b < n):
             raise InvalidTriangulationError(
                 f"diagonal {pair!r} references unknown vertices")
@@ -215,10 +216,10 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
 
 def conflicting_triangle_pairs(tp: TriangulatedPolygon
                                ) -> tuple[tuple[int, int], ...]:
-    """All unordered conflicting pairs; the multicut terminal pairs."""
-    nt = tp.n_triangles
-    return tuple((i, j) for i in range(nt) for j in range(i + 1, nt)
-                 if triangles_conflict(tp, i, j))
+    """All unordered conflicting pairs, in order; the multicut terminal
+    pairs, read from triangle_strip_hits."""
+    return tuple(sorted((i, j) if i < j else (j, i)
+                        for i, j in triangle_strip_hits(tp)))
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,7 @@ def piece_union_polygon(tp: TriangulatedPolygon, piece) -> Polygon:
     ids = sorted(set(piece))
     nt = tp.n_triangles
     for i in ids:
-        if not (isinstance(i, int) and 0 <= i < nt):
+        if not (type(i) is int and 0 <= i < nt):
             raise InvalidTriangulationError(f"no triangle {i!r}")
     if not ids:
         raise PieceNotSimpleError("empty piece")

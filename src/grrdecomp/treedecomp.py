@@ -138,7 +138,7 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
             cover = False
             problems.append(f"component {ci} is empty")
         for e in sorted(c):
-            if not (isinstance(e, int) and 0 <= e < m):
+            if not (type(e) is int and 0 <= e < m):
                 cover = False
                 problems.append(f"component {ci} references unknown edge {e!r}")
             elif e in owner:
@@ -157,7 +157,7 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
     confl = True
     vsets: list[set[int]] = []
     for ci, c in enumerate(comps):
-        edges = sorted(e for e in c if isinstance(e, int) and 0 <= e < m)
+        edges = sorted(e for e in c if type(e) is int and 0 <= e < m)
         verts: set[int] = set()
         for e in edges:
             verts.update(d.edges[e])
@@ -205,7 +205,7 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
         for v in sorted(shared):
             heavy = [ci for ci in sorted(shared[v])
                      if sum(1 for e in comps[ci]
-                            if isinstance(e, int) and 0 <= e < m
+                            if type(e) is int and 0 <= e < m
                             and v in d.edges[e]) >= 2]
             if len(heavy) > 1:
                 contacts = False

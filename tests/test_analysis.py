@@ -165,24 +165,18 @@ def test_polygon_is_grr_gives_the_per_pair_scans_first_witness(polygon_corpus):
 
 def test_polygon_scans_clip_a_witness_only_for_a_conflict(polygon_corpus,
                                                          count_calls):
-    # the lattice decides every slab hit; the Fraction clip runs once per
-    # conflicting ordered pair, to build its witness
+    # the lattice decides every slab hit; the Fraction clip runs only to
+    # build a witness that is returned
     clips = count_calls(analysis, "_clip")
     for rec in polygon_corpus:
         for dec in (rec["exact"], rec["approx"]):
             for piece in dec.pieces:
                 assert polygon_is_grr(piece_union_polygon(rec["tp"], piece)) is None
     assert clips() == 0
-    clipped = 0
-    for poly in _corpus_polygons(polygon_corpus):
-        before = clips()
-        polygon_conflicting_edge_pairs(poly)
-        made = clips() - before
-        ordered = sum(polygon_edges_conflict(poly, e, f) is not None
-                      for e in range(poly.n) for f in range(poly.n) if e != f)
-        assert made == ordered
-        clipped += made
-    assert clipped > 100
+    pairs = sum(len(polygon_conflicting_edge_pairs(poly))
+                for poly in _corpus_polygons(polygon_corpus))
+    assert pairs > 100
+    assert clips() == 0
     u = ushape_polygon()
     before = clips()
     assert polygon_is_grr(u) is not None

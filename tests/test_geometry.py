@@ -204,6 +204,8 @@ HALFSTRIP_CONTACTS = [
     ((pt(2, 0), pt(3, -2), pt(4, -1)), False),
     ((pt(0, 0), pt(-2, -1), pt(-1, 1)), False),
     ((pt(2, 0), pt(1, 2), pt(-1, -1)), True),
+    # a triangle on the away side touching the base at one inner point
+    ((pt(1, 0), pt(0, -2), pt(2, -2)), False),
     # the base collinear with a triangle edge
     ((pt(1, 0), pt(4, 0), pt(3, 2)), True),
     ((pt(3, 0), pt(5, 0), pt(4, 1)), False),
@@ -234,8 +236,10 @@ def test_halfstrip_triangle_reach():
     below = (pt(0, -1), pt(2, -1), pt(1, -3))
     cases = [(inside, True), (wall, False), (below, False)]
     for tri, reaches in cases + HALFSTRIP_CONTACTS:
-        assert _strip_reaches(tri) is reaches, tri
-        assert _strip_reaches(tri[::-1]) is reaches, tri
+        for k in range(3):
+            rot = tri[k:] + tri[:k]
+            assert _strip_reaches(rot) is reaches, tri
+            assert _strip_reaches(rot[::-1]) is reaches, tri
 
 
 def test_polygon_validation():

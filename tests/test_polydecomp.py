@@ -1,5 +1,6 @@
 """Triangulated polygons: dual trees, piece unions, decompositions."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,8 +8,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import polygon_fixture_tps, strip_tp
-from grrdecomp import geometry, polydecomp
-from grrdecomp.analysis import polygon_is_grr
+from grrdecomp import analysis, geometry, polydecomp
+from grrdecomp.analysis import (
+    polygon_is_grr,
+    triangle_strip_hits,
+    triangles_conflict,
+)
 from grrdecomp.errors import (
     BudgetExceededError,
     CrossingDiagonalsError,
@@ -28,6 +33,7 @@ from grrdecomp.fixtures import (
     ushape_tp,
 )
 from grrdecomp.geometry import Point, Polygon, point_in_polygon, pt
+from grrdecomp.oracle import random_triangulated_polygon
 from grrdecomp.polydecomp import (
     _split_triangles,
     build_dual_tree,
@@ -79,6 +85,14 @@ def test_diagonal_of_rejects_non_adjacent():
 def test_bad_diagonal_lists_are_rejected(diagonals, err):
     with pytest.raises(err):
         build_dual_tree(lshape_polygon(), diagonals)
+
+
+def test_bool_diagonal_end_is_rejected():
+    # True == 1, but a bool is no vertex index
+    diagonals = [(0, 4), (0, 5), (True, 3), (1, 4), (5, 7)]
+    with pytest.raises(InvalidTriangulationError,
+                       match=r"^diagonal \(True, 3\) references unknown"):
+        build_dual_tree(ushape_polygon(), diagonals)
 
 
 def test_crossing_diagonals_are_rejected():
@@ -165,9 +179,10 @@ def test_conflicting_triangle_inventory():
             FIXTURE_TRIANGLE_CONFLICTS[name], name
 
 
-def test_conflicts_with_coprime_denominators_match_the_scaled_copy():
-    # every coordinate of two_notch moves by 1/p for its own prime p near
-    # 10**6, so the lattice scale is the product of 24 primes
+def _coprime_two_notch():
+    """two_notch with every coordinate moved by 1/p for its own prime p
+    near 10**6, so the lattice scale is the product of 24 primes, and
+    the same polygon scaled by that product to integers."""
     primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
               1000117, 1000121, 1000133, 1000151, 1000159, 1000171,
               1000183, 1000187, 1000193, 1000199, 1000211, 1000213,
@@ -180,6 +195,11 @@ def test_conflicts_with_coprime_denominators_match_the_scaled_copy():
     fine = build_dual_tree(Polygon(pts), base.diagonals)
     whole = build_dual_tree(Polygon(pt(p.x * scale, p.y * scale)
                                     for p in pts), base.diagonals)
+    return fine, whole
+
+
+def test_conflicts_with_coprime_denominators_match_the_scaled_copy():
+    fine, whole = _coprime_two_notch()
     expected = ((0, 6), (1, 6), (2, 6), (2, 7), (2, 8), (3, 6), (3, 7),
                 (3, 8), (4, 7), (4, 8), (4, 9), (5, 6), (6, 7), (6, 8),
                 (6, 9), (7, 9), (8, 9))
@@ -194,6 +214,60 @@ def test_triangle_conflicts_build_no_points(count_calls):
     pairs = conflicting_triangle_pairs(tp)
     assert built() == 0
     assert len(pairs) == 213
+
+
+@pytest.fixture(scope="module")
+def random_tps():
+    """40 seeded random triangulated polygons of 1 to 30 triangles."""
+    rng = random.Random(2020)
+    return [random_triangulated_polygon(rng, rng.randint(1, 30))
+            for _ in range(40)]
+
+
+# sha256 over conflicting_triangle_pairs of the random_tps polygons,
+# recorded with the per-pair triangles_conflict scan that the strip rows
+# replaced
+TRIANGLE_CONFLICT_DIGEST = (
+    "67f3537145d984a436678bc2c4544053cdc04a5b077b64950c4d041037e42227")
+
+
+def test_triangle_conflicts_match_recorded_corpus(random_tps):
+    h = hashlib.sha256()
+    for tp in random_tps:
+        h.update(repr(conflicting_triangle_pairs(tp)).encode() + b";")
+    assert h.hexdigest() == TRIANGLE_CONFLICT_DIGEST
+
+
+def test_strip_rows_match_the_per_pair_test(polygon_corpus, random_tps):
+    tps = [rec["tp"] for rec in polygon_corpus] + random_tps
+    tps += [strip_tp(20, rise=2), *_coprime_two_notch()]
+    tps += polygon_fixture_tps().values()
+    conflicts = 0
+    for tp in tps:
+        nt = tp.n_triangles
+        hits = list(triangle_strip_hits(tp))
+        # a strip of i reaches j, and no pair comes twice
+        assert all(analysis._strips_reach(tp, i, j) for i, j in hits)
+        pairs = sorted((min(p), max(p)) for p in hits)
+        assert len(set(pairs)) == len(pairs)
+        want = [(i, j) for i in range(nt) for j in range(i + 1, nt)
+                if triangles_conflict(tp, i, j)]
+        assert pairs == want
+        assert conflicting_triangle_pairs(tp) == tuple(want)
+        conflicts += len(want)
+    assert max(tp.n_triangles for tp in random_tps) >= 28
+    assert conflicts > 3000
+
+
+def test_triangle_conflicts_walk_no_dual_path(count_calls):
+    tp = strip_tp(20, rise=2)
+    tests = count_calls(analysis, "triangles_conflict", polydecomp)
+    steps = count_calls(analysis, "_dual_step_toward")
+    assert len(conflicting_triangle_pairs(tp)) == 213
+    assert (tests(), steps()) == (0, 0)
+    # the counters see the per-pair test
+    analysis.triangles_conflict(tp, 0, 39)
+    assert tests() == 1 and steps() >= 1
 
 
 # -- piece unions ---------------------------------------------------------------------
@@ -224,6 +298,13 @@ def test_non_simple_pieces_are_rejected(piece):
 def test_unknown_triangle_in_piece_is_rejected():
     with pytest.raises(InvalidTriangulationError):
         piece_union_polygon(ushape_tp(), {0, 99})
+
+
+def test_bool_triangle_in_piece_is_rejected():
+    # True == 1, but a bool is no triangle id
+    with pytest.raises(InvalidTriangulationError,
+                       match=r"^no triangle True$"):
+        piece_union_polygon(ushape_tp(), [True, 0])
 
 
 # -- decompositions -------------------------------------------------------------------

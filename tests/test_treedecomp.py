@@ -194,6 +194,15 @@ def test_validator_flags_coverage(parts):
     assert "coverage" in failing_checks(report)
 
 
+def test_validator_takes_no_bool_for_an_edge():
+    # True == 1, but a bool is no edge number
+    report = validate_partition(
+        plus_drawing(), Partition(comps({0}, {True}, {2}, {3}), "proper"))
+    assert not report.ok
+    assert "component 1 references unknown edge True" in report.problems
+    assert "edges not covered: [1]" in report.problems
+
+
 def test_validator_flags_disconnected_component():
     # comb edges 2 and 4 do not share a vertex
     report = validate_partition(
