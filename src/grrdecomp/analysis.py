@@ -252,12 +252,13 @@ def polygon_conflicting_edge_pairs(poly: Polygon) -> tuple[tuple[int, int], ...]
 
 
 def _dual_step_toward(tp, i: int, j: int) -> int:
-    """First triangle after i on the unique dual-tree path to j."""
-    parent, depth = tp.parent, tp.depth
-    x, below = j, depth[i] + 1
-    while depth[x] > below:
-        x = parent[x]
-    return x if depth[x] == below and parent[x] == i else parent[i]
+    """First triangle after i on the unique dual-tree path to j: the
+    child of i whose subtree run holds j, else i's parent."""
+    start, size, up = tp.start, tp.size, tp.parent[i]
+    for y in tp.dual_adjacency[i]:
+        if y != up and start[y] <= start[j] < start[y] + size[y]:
+            return y
+    return up
 
 
 def _strips_reach(tp, i: int, j: int) -> bool:
@@ -303,19 +304,8 @@ def triangle_strip_hits(tp):
     branch reads its three entries in strip_reaches.
     """
     tris, lat, parent = tp.triangles, tp.polygon.lattice, tp.parent
+    pre, start, size = tp.preorder, tp.start, tp.size
     n = len(lat)
-    # a preorder of the dual tree: each subtree is one run of it
-    pre, stack = [], [0]
-    while stack:
-        x = stack.pop()
-        pre.append(x)
-        stack.extend(y for y in tp.dual_adjacency[x] if y != parent[x])
-    start = [0] * len(tris)
-    for k, x in enumerate(pre):
-        start[x] = k
-    size = [1] * len(tris)
-    for x in reversed(pre[1:]):
-        size[parent[x]] += size[x]
     reached = [set() for _ in tris]  # the i < j whose strips reach j
     codes = [0] * n
     for i, tri in enumerate(tris):
@@ -382,9 +372,13 @@ def tree_increasing_chord(d: Drawing, edge_subset) -> bool:
     True iff the subset is connected, acyclic, and free of conflicting
     ordered edge pairs.
     """
-    subset = sorted(set(edge_subset))
+    subset = set(edge_subset)
     if not subset:
         raise ValueError("edge subset must be nonempty")
+    for idx in subset:  # before sorting: ids of mixed types do not sort
+        if type(idx) is not int:
+            raise UnknownEdgeError(f"edge index {idx!r} out of range")
+    subset = sorted(subset)
     for idx in subset:
         if not 0 <= idx < d.n_edges:
             raise UnknownEdgeError(f"edge index {idx} out of range")

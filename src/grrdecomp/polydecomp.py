@@ -9,7 +9,6 @@ diagonals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .analysis import polygon_is_grr, triangle_strip_hits
 from .errors import (
@@ -38,15 +37,17 @@ class TriangulatedPolygon:
     triangle and one edge per diagonal, and is always a tree.
 
     The triangle conflict test reads only orientation signs, on the
-    polygon's integer lattice. parent and depth root the dual tree at
-    triangle 0 (the root's parent is None).
+    polygon's integer lattice. parent roots the dual tree at triangle 0
+    (the root's parent is None); in its preorder the subtree of t is the
+    run preorder[start[t]:start[t] + size[t]].
     """
 
     __slots__ = ("polygon", "diagonals", "triangles", "dual_edges",
-                 "dual_adjacency", "_diag_of", "parent", "depth")
+                 "dual_adjacency", "_diag_of", "parent", "preorder",
+                 "start", "size")
 
     def __init__(self, polygon: Polygon, diagonals, triangles, dual_edges,
-                 dual_adjacency, diag_of, parent, depth):
+                 dual_adjacency, diag_of, parent, preorder, start, size):
         self.polygon = polygon
         self.diagonals = diagonals
         self.triangles = triangles
@@ -54,7 +55,9 @@ class TriangulatedPolygon:
         self.dual_adjacency = dual_adjacency
         self._diag_of = diag_of
         self.parent = parent
-        self.depth = depth
+        self.preorder = preorder
+        self.start = start
+        self.size = size
 
     @property
     def n_triangles(self) -> int:
@@ -68,37 +71,6 @@ class TriangulatedPolygon:
         except KeyError:
             raise InvalidTriangulationError(
                 f"triangles {ti} and {tj} are not adjacent") from None
-
-
-def _split_triangles(cycle: list[int], diag_set: frozenset) -> list[tuple]:
-    """Triangles of a triangulated cycle: each sub-polygon is split at
-    the first diagonal joining two of its non-adjacent vertices, and the
-    triangles of the left part come before those of the right part."""
-    diags = sorted(diag_set)
-    out: list[tuple] = []
-    todo = [cycle]
-    while todo:
-        cycle = todo.pop()
-        if len(cycle) == 3:
-            out.append(tuple(cycle))
-            continue
-        k = len(cycle)
-        pos = {v: i for i, v in enumerate(cycle)}
-        for a, b in diags:
-            ia, ib = pos.get(a), pos.get(b)
-            if ia is None or ib is None:
-                continue
-            if (ib - ia) % k in (1, k - 1):
-                continue
-            if ia > ib:
-                ia, ib = ib, ia
-            todo.append(cycle[ib:] + cycle[:ia + 1])
-            todo.append(cycle[ia:ib + 1])
-            break
-        else:
-            raise IncompleteTriangulationError(
-                f"no diagonal splits the sub-polygon {cycle}")
-    return out
 
 
 def _in_cone(lattice, a: int, b: int) -> bool:
@@ -116,8 +88,41 @@ def _in_cone(lattice, a: int, b: int) -> bool:
     return after_next or before_prev
 
 
+def _name_the_fault(lat, canon: list[tuple[int, int]]):
+    """Raise the error of a rejected diagonal set: the first improper
+    contact among the boundary edges and the diagonals, else the first
+    diagonal that leaves the polygon."""
+    n = len(lat)
+    boundary = [(i, (i + 1) % n) for i in range(n)]
+    bad = improper_contact(lat, boundary + canon)
+    if bad is not None:
+        i, j = bad
+        if i < n:
+            raise CrossingDiagonalsError(
+                f"diagonal {canon[j - n]} meets boundary edge {i}")
+        raise CrossingDiagonalsError(
+            f"diagonals {canon[i - n]} and {canon[j - n]} cross")
+    # no open diagonal touches the boundary, so each lies wholly inside
+    # or wholly outside: inside iff it leaves its first endpoint into the
+    # interior angle there
+    for d in canon:
+        if not _in_cone(lat, d[0], d[1]):
+            raise CrossingDiagonalsError(f"diagonal {d} leaves the polygon")
+    # n - 3 interior non-crossing diagonals always triangulate
+    raise InvalidTriangulationError(
+        "the diagonals do not triangulate the polygon")
+
+
 def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
-    """Validate a triangulation and derive its triangles and dual tree."""
+    """Validate a triangulation and derive its triangles and dual tree.
+
+    Each vertex's fan, its neighbours in boundary order from it, closes
+    a triangle with each two consecutive ones. The diagonals triangulate
+    iff the fans give n - 2 distinct triangles, all strictly ccw: they
+    then form a disk bounded by the ccw polygon, and with positive
+    orientation they cover each interior point once and no exterior
+    point. Only a rejected set is swept, to name its fault.
+    """
     n = polygon.n
     seen: set[tuple[int, int]] = set()
     canon: list[tuple[int, int]] = []
@@ -147,71 +152,61 @@ def build_dual_tree(polygon: Polygon, diagonals) -> TriangulatedPolygon:
             f"{len(canon)} diagonals given, a triangulation of a "
             f"{n}-gon needs {n - 3}")
     lat = polygon.lattice
-    boundary = [(i, (i + 1) % n) for i in range(n)]
-    bad = improper_contact(lat, boundary + canon)
-    if bad is not None:
-        i, j = bad
-        if i < n:
-            raise CrossingDiagonalsError(
-                f"diagonal {canon[j - n]} meets boundary edge {i}")
-        raise CrossingDiagonalsError(
-            f"diagonals {canon[i - n]} and {canon[j - n]} cross")
-    # no open diagonal touches the boundary, so each lies wholly inside
-    # or wholly outside: inside iff it leaves its first endpoint into the
-    # interior angle there
-    for d in canon:
-        if not _in_cone(lat, d[0], d[1]):
-            raise CrossingDiagonalsError(f"diagonal {d} leaves the polygon")
-
-    raw = _split_triangles(list(range(n)), frozenset(canon))
-    tris = []
-    for t in raw:
-        if orientation(lat[t[0]], lat[t[1]], lat[t[2]]) <= 0:
-            raise InvalidTriangulationError(f"triangle {t} is not ccw")
-        k = min(range(3), key=lambda i: t[i])
-        tris.append((t[k], t[(k + 1) % 3], t[(k + 2) % 3]))
-    tris.sort()
-    triangles = tuple(tris)
-    if len(triangles) != n - 2:
-        raise IncompleteTriangulationError(
-            f"derived {len(triangles)} triangles, expected {n - 2}")
-
+    fans = [[(a + 1) % n, (a - 1) % n] for a in range(n)]
+    for a, b in canon:
+        fans[a].append(b)
+        fans[b].append(a)
+    for a, fan in enumerate(fans):
+        fan.sort(key=lambda b: (b - a) % n)
+    found = {tuple(sorted((a, b, c)))
+             for a, fan in enumerate(fans) for b, c in zip(fan, fan[1:])}
+    if len(found) != n - 2 or any(
+            orientation(lat[a], lat[b], lat[c]) <= 0 for a, b, c in found):
+        _name_the_fault(lat, canon)
+    triangles = tuple(sorted(found))
     nt = len(triangles)
-    owners_of: dict[tuple[int, int], list[int]] = {}
-    for i, t in enumerate(triangles):
-        for side in combinations(sorted(t), 2):
-            owners_of.setdefault(side, []).append(i)
+    tid = {t: i for i, t in enumerate(triangles)}
+    # the diagonal (a, b), a < b, lies between two consecutive triangles
+    # of a's fan; the fan's ends are a's boundary neighbours
     diag_of: dict[tuple[int, int], tuple[int, int]] = {}
-    dual_edges = []
     adj: dict[int, list[int]] = {i: [] for i in range(nt)}
-    for d in sorted(canon):
-        owners = owners_of.get(d, [])
-        if len(owners) != 2:
-            raise InvalidTriangulationError(
-                f"diagonal {d} borders {len(owners)} triangles")
-        ti, tj = owners
-        dual_edges.append((ti, tj))
-        diag_of[(ti, tj)] = d
-        adj[ti].append(tj)
-        adj[tj].append(ti)
+    for a, fan in enumerate(fans):
+        for k in range(1, len(fan) - 1):
+            b = fan[k]
+            if a < b:
+                ti = tid[tuple(sorted((a, fan[k - 1], b)))]
+                tj = tid[tuple(sorted((a, b, fan[k + 1])))]
+                ti, tj = min(ti, tj), max(ti, tj)
+                diag_of[(ti, tj)] = (a, b)
+                adj[ti].append(tj)
+                adj[tj].append(ti)
+    dual_adjacency = {i: tuple(sorted(v)) for i, v in adj.items()}
     parent: list = [None] * nt
-    depth = [0] * nt
-    order = [0]
-    for x in order:
-        for y in adj[x]:
+    preorder, stack = [], [0]
+    while stack:
+        x = stack.pop()
+        preorder.append(x)
+        for y in dual_adjacency[x]:
             if y != parent[x]:
                 parent[y] = x
-                depth[y] = depth[x] + 1
-                order.append(y)
+                stack.append(y)
+    start = [0] * nt
+    for k, x in enumerate(preorder):
+        start[x] = k
+    size = [1] * nt
+    for x in reversed(preorder[1:]):
+        size[parent[x]] += size[x]
     return TriangulatedPolygon(
         polygon=polygon,
         diagonals=tuple(sorted(canon)),
         triangles=triangles,
-        dual_edges=tuple(sorted(dual_edges)),
-        dual_adjacency={i: tuple(sorted(v)) for i, v in adj.items()},
+        dual_edges=tuple(sorted(diag_of)),
+        dual_adjacency=dual_adjacency,
         diag_of=diag_of,
         parent=tuple(parent),
-        depth=tuple(depth))
+        preorder=tuple(preorder),
+        start=tuple(start),
+        size=tuple(size))
 
 
 def conflicting_triangle_pairs(tp: TriangulatedPolygon
@@ -240,10 +235,14 @@ def piece_union_polygon(tp: TriangulatedPolygon, piece) -> Polygon:
     at a vertex, so valid pieces are guaranteed free of articulation
     points.
     """
-    ids = sorted(set(piece))
+    ids = set(piece)
+    for i in ids:  # before sorting: ids of mixed types do not sort
+        if type(i) is not int:
+            raise InvalidTriangulationError(f"no triangle {i!r}")
+    ids = sorted(ids)
     nt = tp.n_triangles
     for i in ids:
-        if not (type(i) is int and 0 <= i < nt):
+        if not 0 <= i < nt:
             raise InvalidTriangulationError(f"no triangle {i!r}")
     if not ids:
         raise PieceNotSimpleError("empty piece")

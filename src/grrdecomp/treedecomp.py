@@ -130,6 +130,8 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
     problems: list[str] = []
     m = d.n_edges
     comps = [set(c) for c in p.components]
+    # ids of mixed types do not sort by value
+    order = None if all(type(e) is int for c in comps for e in c) else repr
 
     cover = True
     owner: dict[int, int] = {}
@@ -137,7 +139,7 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
         if not c:
             cover = False
             problems.append(f"component {ci} is empty")
-        for e in sorted(c):
+        for e in sorted(c, key=order):
             if not (type(e) is int and 0 <= e < m):
                 cover = False
                 problems.append(f"component {ci} references unknown edge {e!r}")

@@ -377,6 +377,13 @@ def test_tree_increasing_chord_rejects_disconnected_subsets():
         tree_increasing_chord(d, [])
 
 
+@pytest.mark.parametrize("subset", [[True], [0, "1"], [0, 1.0]])
+def test_tree_increasing_chord_rejects_non_int_edges(subset):
+    # True == 1 and 1.0 == 1, but neither is an edge number
+    with pytest.raises(UnknownEdgeError):
+        tree_increasing_chord(p_acute(), subset)
+
+
 def test_tree_verdict_equals_all_pairs_path_verdict():
     # Increasing-chord trees are exactly the trees all of whose
     # vertex-to-vertex paths have increasing chords.

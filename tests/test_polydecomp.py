@@ -35,7 +35,6 @@ from grrdecomp.fixtures import (
 from grrdecomp.geometry import Point, Polygon, point_in_polygon, pt
 from grrdecomp.oracle import random_triangulated_polygon
 from grrdecomp.polydecomp import (
-    _split_triangles,
     build_dual_tree,
     conflicting_triangle_pairs,
     decompose_polygon_approx,
@@ -134,13 +133,21 @@ def test_dual_tree_build_locates_no_points(count_calls):
 
 
 def test_fan_dual_tree_decides_contacts_on_the_lattice(count_calls):
-    calls = count_calls(geometry, "segment_intersection", polydecomp)
     # every fan diagonal's bounding box holds the boundary edges it spans
     n = 300
     fan = Polygon(pt(i, i * i) for i in range(n))
+    meets = count_calls(geometry, "segment_intersection", polydecomp)
+    sweeps = count_calls(geometry, "improper_contact", polydecomp)
+    cones = count_calls(polydecomp, "_in_cone")
     tp = build_dual_tree(fan, [(0, k) for k in range(2, n - 1)])
     assert tp.n_triangles == n - 2
-    assert calls() == 0
+    # a valid triangulation is accepted by orientation alone
+    assert (meets(), sweeps(), cones()) == (0, 0, 0)
+    # a rejected one runs the sweep to name its fault
+    with pytest.raises(CrossingDiagonalsError,
+                       match=r"^diagonals \(0, 2\) and \(1, 298\) cross$"):
+        build_dual_tree(fan, [(0, k) for k in range(2, n - 2)] + [(1, 298)])
+    assert (meets(), sweeps()) == (0, 1)
 
 
 def test_triangle_polygon_has_no_diagonals():
@@ -151,12 +158,15 @@ def test_triangle_polygon_has_no_diagonals():
     assert decompose_polygon_approx(tp).size == 1
 
 
-def test_split_triangles_of_a_thousand_vertex_fan():
-    # splitting a fan nests one sub-polygon inside the next, 997 deep
-    fan = frozenset((0, k) for k in range(2, 999))
-    tris = _split_triangles(list(range(1000)), fan)
-    assert tris == ([(0, 1, 2), (998, 999, 0)]
-                    + [(0, k, k + 1) for k in range(997, 1, -1)])
+def test_dual_tree_of_a_thousand_vertex_fan():
+    # vertex 0's fan holds every triangle; the dual tree is a path
+    n = 1000
+    fan = Polygon(pt(i, i * i) for i in range(n))
+    tp = build_dual_tree(fan, [(0, k) for k in range(2, n - 1)])
+    assert tp.triangles == tuple((0, k, k + 1) for k in range(1, n - 1))
+    assert tp.dual_edges == tuple((k, k + 1) for k in range(n - 3))
+    assert tp.preorder == tuple(range(n - 2))
+    assert tp.size == tuple(range(n - 2, 0, -1))
 
 
 # -- conflicting triangles ------------------------------------------------------------
@@ -238,6 +248,94 @@ def test_triangle_conflicts_match_recorded_corpus(random_tps):
     assert h.hexdigest() == TRIANGLE_CONFLICT_DIGEST
 
 
+@pytest.fixture(scope="module")
+def diagonal_sets(random_tps):
+    """50 seeded diagonal sets on each random_tps polygon: its own
+    diagonals with up to two replaced by other non-boundary diagonals,
+    shuffled, each written in a drawn end order."""
+    rng = random.Random(21)
+    out = []
+    for tp in random_tps:
+        n = tp.polygon.n
+        others = [(a, b) for a in range(n) for b in range(a + 2, n)
+                  if (a, b) != (0, n - 1)]
+        for _ in range(50):
+            ds = list(tp.diagonals)
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                if ds:
+                    taken = set(ds)
+                    free = [d for d in others if d not in taken]
+                    ds[rng.randrange(len(ds))] = rng.choice(free)
+            rng.shuffle(ds)
+            out.append((tp.polygon, [(b, a) if rng.random() < 0.5 else (a, b)
+                                     for a, b in ds]))
+    return out
+
+
+def _swept_fault(poly, ds):
+    """The message of the first fault that the contact sweep over the
+    boundary and the diagonals, then the cone test, finds; or None."""
+    n, lat = poly.n, poly.lattice
+    canon = [(min(d), max(d)) for d in ds]
+    bad = geometry.improper_contact(
+        lat, [(i, (i + 1) % n) for i in range(n)] + canon)
+    if bad is not None:
+        i, j = bad
+        if i < n:
+            return f"diagonal {canon[j - n]} meets boundary edge {i}"
+        return f"diagonals {canon[i - n]} and {canon[j - n]} cross"
+    for d in canon:
+        if not polydecomp._in_cone(lat, *d):
+            return f"diagonal {d} leaves the polygon"
+    return None
+
+
+def test_orientation_accepts_exactly_what_the_sweep_passes(diagonal_sets):
+    outcomes = dict.fromkeys(("accepted", "meets", "cross", "leaves"), 0)
+    for poly, ds in diagonal_sets:
+        fault = _swept_fault(poly, ds)
+        try:
+            build_dual_tree(poly, ds)
+        except CrossingDiagonalsError as e:
+            assert str(e) == fault
+            outcomes[next(k for k in outcomes if k in fault)] += 1
+        else:
+            assert fault is None
+            outcomes["accepted"] += 1
+    assert sum(outcomes.values()) == 2000
+    assert min(outcomes.values()) > 50, outcomes
+
+
+SIMILARITIES = (
+    lambda p: Point(-p.y, p.x),
+    lambda p: Point((3 * p.x - 4 * p.y) / 5 + Fraction(1, 7),
+                    (4 * p.x + 3 * p.y) / 5 - Fraction(2, 3)),
+)
+
+
+def _dual_tree_outcome(poly, ds):
+    try:
+        tp = build_dual_tree(poly, ds)
+    except CrossingDiagonalsError as e:
+        return str(e)
+    return tp.triangles, tp.dual_edges, conflicting_triangle_pairs(tp)
+
+
+def test_dual_trees_are_similarity_invariant(diagonal_sets):
+    # rotations keep every index, so outcomes compare directly
+    images = {}
+    compared = 0
+    for poly, ds in diagonal_sets[::4]:
+        if poly not in images:
+            images[poly] = [Polygon(m(p) for p in poly.points)
+                            for m in SIMILARITIES]
+        want = _dual_tree_outcome(poly, ds)
+        for image in images[poly]:
+            assert _dual_tree_outcome(image, ds) == want
+            compared += 1
+    assert compared == 1000
+
+
 def test_strip_rows_match_the_per_pair_test(polygon_corpus, random_tps):
     tps = [rec["tp"] for rec in polygon_corpus] + random_tps
     tps += [strip_tp(20, rise=2), *_coprime_two_notch()]
@@ -305,6 +403,13 @@ def test_bool_triangle_in_piece_is_rejected():
     with pytest.raises(InvalidTriangulationError,
                        match=r"^no triangle True$"):
         piece_union_polygon(ushape_tp(), [True, 0])
+
+
+def test_mixed_type_piece_is_rejected():
+    # ids of mixed types do not sort: the type is checked first
+    with pytest.raises(InvalidTriangulationError,
+                       match=r"^no triangle '1'$"):
+        piece_union_polygon(ushape_tp(), [0, "1"])
 
 
 # -- decompositions -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import grrdecomp
@@ -17,6 +18,25 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_top_level_name_has_a_reader():
+    # a helper whose callers were deleted must go with them: each def or
+    # class at the top of a package module is named again somewhere in
+    # the sources, tests, demos or the bench
+    repo = Path(grrdecomp.__file__).resolve().parents[2]
+    texts = [path.read_text(encoding="utf-8")
+             for top in ("src", "tests", "demos", "perfbench")
+             for path in sorted((repo / top).rglob("*.py"))]
+    unread = []
+    for path in sorted(Path(grrdecomp.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                word = re.compile(rf"\b{node.name}\b")
+                if sum(len(word.findall(t)) for t in texts) < 2:
+                    unread.append(f"{path.name}:{node.name}")
+    assert unread == []
 
 
 def _perfbench_spans() -> dict:

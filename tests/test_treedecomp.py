@@ -203,6 +203,14 @@ def test_validator_takes_no_bool_for_an_edge():
     assert "edges not covered: [1]" in report.problems
 
 
+def test_validator_takes_mixed_type_components():
+    # ids of mixed types do not sort: the validator reports, not raises
+    report = validate_partition(
+        plus_drawing(), Partition(comps({0, "1"}), "proper"))
+    assert "component 0 references unknown edge '1'" in report.problems
+    assert "edges not covered: [1, 2, 3]" in report.problems
+
+
 def test_validator_flags_disconnected_component():
     # comb edges 2 and 4 do not share a vertex
     report = validate_partition(
