@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import NotCounterclockwiseError, NotSimplePolygonError
@@ -263,26 +263,37 @@ def improper_contact(lat, pairs: Sequence[tuple]):
 
     lat maps vertex keys to LatticePoints, as Drawing.lattice and
     Polygon.lattice do, and pairs[i] holds the keys of segment i's two
-    distinct endpoints. A sweep over the left ends visits only pairs
-    whose closed x-ranges overlap, and decides a pair with _improper_pair
-    only if their closed y-ranges overlap too.
+    distinct endpoints. Two segments with a common endpoint meet
+    elsewhere iff they leave it in the same reduced integer direction. A
+    sweep over the left ends visits the other pairs whose closed x-ranges
+    overlap, and decides a pair with _improper_pair only if their closed
+    y-ranges overlap too.
     """
     n = len(pairs)
     ends = [(lat[a], lat[b]) for a, b in pairs]
+    best = None
+    first: dict = {}  # the first segment to leave each point in each direction
+    for i, (a, b) in enumerate(ends):
+        dx, dy = b.x - a.x, b.y - a.y
+        g = gcd(dx, dy)
+        for key in ((a, dx // g, dy // g), (b, -dx // g, -dy // g)):
+            j = first.setdefault(key, i)
+            if j != i:
+                best = min(best, (j, i)) if best else (j, i)
     lo = [min(a.x, b.x) for a, b in ends]
     hi = [max(a.x, b.x) for a, b in ends]
     ylo = [min(a.y, b.y) for a, b in ends]
     yhi = [max(a.y, b.y) for a, b in ends]
     order = sorted(range(n), key=lo.__getitem__)
-    best = None
-    for k in range(n):
-        i = order[k]
+    for k, i in enumerate(order):
+        ends_i = ends[i]
         for m in range(k + 1, n):
             j = order[m]
             if lo[j] > hi[i]:
                 break
-            if (ylo[j] > yhi[i] or ylo[i] > yhi[j]
-                    or not _improper_pair(*ends[i], *ends[j])):
+            c, d = ends[j]
+            if (ylo[j] > yhi[i] or ylo[i] > yhi[j] or c in ends_i
+                    or d in ends_i or not _improper_pair(*ends_i, c, d)):
                 continue
             pair = (min(i, j), max(i, j))
             best = min(best, pair) if best else pair

@@ -4,13 +4,14 @@ The exact solver is a bottom-up dynamic program over the rooted tree.
 For each vertex it tabulates root components by their extreme boundary
 paths (the clockwise-first and clockwise-last paths leaving the
 subtree), together with the degree of the vertex inside the component.
-One join builds the root components in which the vertex has degree two
-to four, by merging those of child tables or of a joined pair and a
-child table; a table of which children fit together, built once per
-vertex, skips the joins that cannot build anything. Every table entry
-points at the entries it was built from, in the one format DPTables
-describes, and a loop over an explicit stack follows those pointers to
-rebuild the components, however deep the tree.
+One two-part join builds the root components in which the vertex has
+degree two to four, by merging those of two child tables, of a joined
+pair and a child table, or of two joined pairs of path entries; a table
+of which children fit together, built once per vertex, skips the joins
+that cannot build anything. Every table entry points at the entries it
+was built from, in the one format DPTables describes, and a loop over
+an explicit stack follows those pointers to rebuild the components,
+however deep the tree.
 Two contact regimes are supported exactly: noncrossing and proper.
 A multicut reduction provides a fast 2-approximation for proper
 contacts, and edge splits are handled by running the same program on
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .analysis import conflicting_pairs, drawing_edges_conflict
@@ -191,9 +193,8 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
             at.setdefault(v, []).append(ci)
     common: dict[tuple[int, int], list[int]] = {}
     for v, cis in at.items():
-        for k, ci in enumerate(cis):
-            for cj in cis[k + 1:]:
-                common.setdefault((ci, cj), []).append(v)
+        for pair in combinations(cis, 2):
+            common.setdefault(pair, []).append(v)
     single = True
     for (ci, cj), inter in sorted(common.items()):
         if len(inter) > 1:
@@ -219,20 +220,17 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
         # their edges interleave in the combined rotation at v
         for v in sorted(shared):
             owners = [owner.get(e) for e in clockwise_order(d, v)]
-            cands = sorted(shared[v])
-            for i1 in range(len(cands)):
-                for i2 in range(i1 + 1, len(cands)):
-                    pair = (cands[i1], cands[i2])
-                    seq = [o for o in owners if o in pair]
-                    if len(seq) < 4:
-                        continue
-                    flips = sum(1 for k in range(len(seq))
-                                if seq[k] != seq[(k + 1) % len(seq)])
-                    if flips > 2:
-                        contacts = False
-                        problems.append(
-                            f"components {pair[0]} and {pair[1]} cross "
-                            f"at vertex {v}")
+            for pair in combinations(sorted(shared[v]), 2):
+                seq = [o for o in owners if o in pair]
+                if len(seq) < 4:
+                    continue
+                flips = sum(1 for k in range(len(seq))
+                            if seq[k] != seq[(k + 1) % len(seq)])
+                if flips > 2:
+                    contacts = False
+                    problems.append(
+                        f"components {pair[0]} and {pair[1]} cross "
+                        f"at vertex {v}")
 
     checks = (("coverage", cover), ("connectivity", conn),
               ("acyclicity", acyc), ("conflict-freeness", confl),
@@ -265,6 +263,8 @@ class DPTables:
     have their root components merged into it, and the entries in apart
     contribute components of their own. An entry with neither own_edge
     nor joined has no root component and only collects apart entries.
+    A join's entry has the two entries it merged as joined; those of a
+    sigma_delta[u][4] entry are path pairs, kept in no table.
     In proper mode sigma_m[u][(a, b)] is a chain: its apart entries are
     sigma_m[u][(a, b - 1)] (the empty run's entry when b == a) and child
     b's smallest tau entry, so each run costs O(1). pic holds the rows of
@@ -282,43 +282,27 @@ class DPTables:
     sigma_m: dict[int, dict] = field(default_factory=dict)
 
 
-def _join(ic: dict, parts, apart: tuple, out: dict) -> None:
-    """Merge the root components of adjacent parts into one, into out.
+def _join(ic: dict, left, right, run: tuple, out: dict) -> None:
+    """Merge the root components of two adjacent parts into one, into out.
 
-    parts are the sorted (key, entry) items of child tables in
-    clockwise order, and apart the entries of the children between
-    them. A candidate takes one entry of each part and survives when the
-    path from every endpoint of an earlier part to every endpoint of a
-    later part is increasing-chord. It is keyed by its outermost
-    endpoints and counts the merged root component once. Candidates
-    arrive in lexicographic order of their keys, so ties keep the first.
+    left and right are sorted (key, entry) items of two parts in
+    clockwise order, and run the entry of the children between them,
+    which stand apart. A pair survives when both ends of its right key
+    lie on the path-IC rows of both ends of its left key. It is keyed by
+    the left key's first end and the right key's last end, and counts
+    the merged root component once. Pairs arrive in lexicographic order
+    of their keys, so ties keep the first.
     """
-    extra = 1 - len(parts)
-    for ent in apart:
-        extra += ent[0]
-    # each prefix that passed so far: its first x, its last key, the
-    # path-IC rows of the endpoints before that key, its size, its entries
-    partial = []
-    for key, ent in parts[0]:
-        partial.append((key[0], key, (), ent[0], (ent,)))
-    for part in parts[1:]:
-        grown = []
-        for first, (x1, y1), rows, val, refs in partial:
-            rows += (ic[x1],) if x1 == y1 else (ic[x1], ic[y1])
-            for key, ent in part:
-                x, y = key
-                for row in rows:
-                    if x not in row or y not in row:
-                        break
-                else:
-                    grown.append((first, key, rows, val + ent[0],
-                                  refs + (ent,)))
-        partial = grown
-    for first, (_, y), _, val, refs in partial:
-        val += extra
-        cur = out.get((first, y))
-        if cur is None or val < cur[0]:
-            out[(first, y)] = (val, (None, refs, apart))
+    extra, apart = run[0] - 1, (run,)
+    for (x, y), lent in left:
+        rx, ry = ic[x], ic[y]
+        base = lent[0] + extra
+        for (p, q), rent in right:
+            if p in rx and q in rx and p in ry and q in ry:
+                val = base + rent[0]
+                cur = out.get((x, q))
+                if cur is None or val < cur[0]:
+                    out[(x, q)] = (val, (None, (lent, rent), apart))
 
 
 def _fit_table(ic: dict, taus: list, paths: list) -> tuple[list, list, list]:
@@ -360,6 +344,17 @@ def _fit_table(ic: dict, taus: list, paths: list) -> tuple[list, list, list]:
                 if paths[j - 1] and both[j] >> i & 1:
                     arms[i] |= 1 << j
     return first_fit, last_fit, arms
+
+
+def _path_pair(ic: dict, paths: list, sm: dict, pairs: dict, i: int,
+               j: int) -> list:
+    """The sorted items of the join of child i's and child j's path
+    entries, with the run between them apart, kept in pairs by (i, j)."""
+    if (i, j) not in pairs:
+        out: dict = {}
+        _join(ic, paths[i - 1], paths[j - 1], sm[(i + 1, j - 1)], out)
+        pairs[(i, j)] = sorted(out.items())
+    return pairs[(i, j)]
 
 
 def _bits(mask: int):
@@ -406,6 +401,7 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
         # minimum partitions of runs of children; DPTables leaves out the
         # empty runs
         sm: dict = {(i, i - 1): _NOTHING for i in range(1, d + 2)}
+        pairs: dict = {}  # the path pairs of four-arm joins, by child pair
 
         for w in range(d):
             for a in range(1, d - w + 1):
@@ -416,8 +412,7 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                                    for key, ent in taus[a - 1]}
                 elif (first_fit[a] & last_fit[a]) >> b & 1:
                     ent2 = {}
-                    _join(ic, (taus[a - 1], taus[b - 1]),
-                          (sm[(a + 1, b - 1)],), ent2)
+                    _join(ic, taus[a - 1], taus[b - 1], sm[(a + 1, b - 1)], ent2)
                     if ent2:
                         sd[2][span] = ent2
                         sorted2[span] = sorted(ent2.items())
@@ -435,24 +430,23 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                              if last_fit[a] >> b & 1 else 0)
                     for mm in _bits((lows | highs) & inside):
                         if lows >> mm & 1:
-                            _join(ic, (sorted2[(a, mm)], taus[b - 1]),
-                                  (sm[(mm + 1, b - 1)],), ent3)
+                            _join(ic, sorted2[(a, mm)], taus[b - 1],
+                                  sm[(mm + 1, b - 1)], ent3)
                         if highs >> mm & 1:
-                            _join(ic, (taus[a - 1], sorted2[(mm, b)]),
-                                  (sm[(a + 1, mm - 1)],), ent3)
+                            _join(ic, taus[a - 1], sorted2[(mm, b)],
+                                  sm[(a + 1, mm - 1)], ent3)
                     if ent3:
                         sd[3][span] = ent3
                 if w >= 3 and arms[a] >> b & 1:
                     ent4 = {}
-                    # every two of the four arms must fit
+                    # every two of the four arms must fit: join the path
+                    # pairs a, jj and kk, b, with the run between apart
                     inner = arms[a] & arms[b] & inside
                     for jj in _bits(inner):
-                        low = (paths[a - 1], paths[jj - 1])
-                        below = sm[(a + 1, jj - 1)]
                         for kk in _bits(inner & arms[jj] & -(2 << jj)):
-                            _join(ic, low + (paths[kk - 1], paths[b - 1]),
-                                  (below, sm[(jj + 1, kk - 1)],
-                                   sm[(kk + 1, b - 1)]), ent4)
+                            _join(ic, _path_pair(ic, paths, sm, pairs, a, jj),
+                                  _path_pair(ic, paths, sm, pairs, kk, b),
+                                  sm[(jj + 1, kk - 1)], ent4)
                     if ent4:
                         sd[4][span] = ent4
                 # each key keeps the first entry of least size, in order
@@ -639,16 +633,10 @@ def partition_to_multicut(d: Drawing, p: Partition) -> Cut:
             for v in d.edges[e]:
                 comp_edges_at.setdefault(v, {}).setdefault(ci, []).append(e)
     cut_edges = set()
-    for v in sorted(comp_edges_at):
-        at_v = comp_edges_at[v]
-        if len(at_v) <= 1:
-            continue
+    for v, at_v in comp_edges_at.items():
         keeper = min(at_v, key=lambda ci: (-len(at_v[ci]), min(at_v[ci])))
-        for ci in sorted(at_v):
-            if ci == keeper:
-                continue
-            for e in sorted(at_v[ci]):
-                cut_edges.add((("e", e), ("v", v)))
+        cut_edges.update((("e", e), ("v", v)) for ci, es in at_v.items()
+                         if ci != keeper for e in es)
     return Cut(frozenset(cut_edges), Fraction(len(cut_edges)))
 
 

@@ -242,6 +242,16 @@ def assert_table_matches_direct_predicate(d, label=""):
                 assert (s in rows[t]) == want, (label, t, s)
 
 
+# exact similarities that keep every vertex, edge and triangle index: the
+# rotation by 90 degrees, and the 3-4-5 rotation with a translation by
+# (1/7, -2/3), which moves every input off the axes
+SIMILARITIES = (
+    lambda p: Point(-p.y, p.x),
+    lambda p: Point((3 * p.x - 4 * p.y) / 5 + Fraction(1, 7),
+                    (4 * p.x + 3 * p.y) / 5 - Fraction(2, 3)),
+)
+
+
 def segment_contact(segs):
     """improper_contact on a list of Segments: None, or (i, j, meet) for
     the smallest pair at fault, where meet is segment_intersection of the

@@ -1,12 +1,15 @@
 """Exact-arithmetic geometry primitives."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import segment_contact
+from grrdecomp import geometry
 from grrdecomp.errors import NotCounterclockwiseError, NotSimplePolygonError
 from grrdecomp.geometry import (
+    LatticePoint,
     Point,
     Polygon,
     Segment,
@@ -14,6 +17,7 @@ from grrdecomp.geometry import (
     dot,
     frac,
     hp,
+    improper_contact,
     in_hp,
     on_segment,
     orientation,
@@ -174,6 +178,58 @@ def test_improper_contact_names_the_smallest_pair():
     assert segment_contact(segs) == (0, 3, pt(11, 1))
     assert segment_contact(segs[1:3]) == (0, 1, pt(1, 1))
     assert segment_contact([]) is None
+
+
+def test_improper_contact_names_the_smallest_same_direction_pair():
+    # legs 1 and 4 leave the centre along one ray, as do legs 2 and 5;
+    # leg 3 is collinear with leg 0 but points the other way
+    legs = [_seg(0, 0, 2, 0), _seg(0, 0, 1, 1), _seg(0, 0, 0, 3),
+            _seg(-4, 0, 0, 0), _seg(3, 3, 0, 0), _seg(0, 0, 0, 1)]
+    assert segment_contact(legs) == (1, 4, _seg(0, 0, 1, 1))
+    assert segment_contact(legs[:4]) is None
+    # a crossing away from the centre, before the legs and after them
+    crossing = [_seg(10, 0, 12, 2), _seg(10, 2, 12, 0)]
+    assert segment_contact(crossing + legs) == (0, 1, pt(11, 1))
+    assert segment_contact(legs + crossing)[:2] == (1, 4)
+
+
+def test_improper_contact_names_a_duplicated_segment():
+    base = _seg(0, 0, 3, 1)
+    others = [_seg(5, 5, 6, 5), _seg(3, 1, 4, 4)]
+    assert segment_contact([base, *others]) is None
+    assert segment_contact([base, *others, base]) == (0, 3, base)
+    assert segment_contact([base, *others, _seg(3, 1, 0, 0)]) == (0, 3, base)
+    # the same two vertex keys, in either order
+    lat = {0: LatticePoint(0, 0), 1: LatticePoint(3, 1), 2: LatticePoint(4, 4)}
+    assert improper_contact(lat, [(0, 1), (1, 2), (1, 0)]) == (0, 2)
+    assert improper_contact(lat, [(1, 2), (0, 1), (0, 1)]) == (1, 2)
+
+
+def test_improper_contact_tests_no_pair_with_a_common_end(monkeypatch):
+    # 200 legs around the centre, each with a second edge straight on:
+    # every two legs share the centre, and the pair test sees none of them
+    lat = {0: LatticePoint(0, 0)}
+    pairs = []
+    for k in range(200):
+        theta = 2 * math.pi * k / 200
+        tip = LatticePoint(round(1000 * math.cos(theta)),
+                           round(1000 * math.sin(theta)))
+        lat[2 * k + 1], lat[2 * k + 2] = tip, LatticePoint(2 * tip.x,
+                                                           2 * tip.y)
+        pairs += [(0, 2 * k + 1), (2 * k + 1, 2 * k + 2)]
+    common = []
+    real = geometry._improper_pair
+
+    def recording(a, b, c, d):
+        common.append({a, b} & {c, d})
+        return real(a, b, c, d)
+
+    monkeypatch.setattr(geometry, "_improper_pair", recording)
+    assert improper_contact(lat, pairs) is None
+    assert common and not any(common)
+    # an edge from the centre to the end of leg 17 overlaps both its edges
+    assert improper_contact(lat, pairs + [(0, 36)]) == (34, 400)
+    assert not any(common)
 
 
 def test_halfplane_predicate():

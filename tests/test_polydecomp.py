@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import polygon_fixture_tps, strip_tp
+from conftest import SIMILARITIES, polygon_fixture_tps, strip_tp
 from grrdecomp import analysis, geometry, polydecomp
 from grrdecomp.analysis import (
     polygon_is_grr,
@@ -304,13 +304,6 @@ def test_orientation_accepts_exactly_what_the_sweep_passes(diagonal_sets):
             outcomes["accepted"] += 1
     assert sum(outcomes.values()) == 2000
     assert min(outcomes.values()) > 50, outcomes
-
-
-SIMILARITIES = (
-    lambda p: Point(-p.y, p.x),
-    lambda p: Point((3 * p.x - 4 * p.y) / 5 + Fraction(1, 7),
-                    (4 * p.x + 3 * p.y) / 5 - Fraction(2, 3)),
-)
 
 
 def _dual_tree_outcome(poly, ds):

@@ -8,6 +8,7 @@ import pytest
 
 import grrdecomp.treedecomp as treedecomp
 from conftest import (
+    SIMILARITIES,
     assert_table_matches_direct_predicate,
     dp_table_digest,
     sawtooth,
@@ -33,7 +34,9 @@ from grrdecomp.geometry import Point, pt
 from grrdecomp.multicut import is_multicut
 from grrdecomp.oracle import random_tree_drawing
 from grrdecomp.treedecomp import (
+    _NOTHING,
     Partition,
+    _components_of,
     approx_gtd_proper,
     build_multicut_instance,
     fill_gtd_tables,
@@ -406,23 +409,162 @@ def test_dp_tables_are_unchanged(name):
 def test_wide_vertex_joins_are_gated(count_calls, mode):
     # the sun's center has 39 children. Ungated, the fill made 20,641
     # joins in either mode; joins whose children cannot share a
-    # component are skipped, which leaves 1,610
+    # component are skipped, which leaves 1,610. No four path arms fit
+    # together there, so no path pair is built
     rt = rooted(sun_drawing(random.Random(40), 40))
     joins = count_calls(treedecomp, "_join")
+    pairs = count_calls(treedecomp, "_path_pair")
     t = fill_gtd_tables(rt, mode)
-    assert joins() == 1610
+    assert (joins(), pairs()) == (1610, 0)
     # span tables are sparse: 419 of the center's 780 spans have a sigma
     # entry, and the fill made 1,960 empty span tables before
     for u, sg in t.sigma.items():
         assert all(sg.values())
         assert all(all(per_delta.values())
                    for per_delta in t.sigma_delta[u].values())
+        assert not t.sigma_delta[u][4]
         d = len(rt.children[u])
         assert set(t.sigma_m[u]) == {(a, b) for a in range(1, d + 1)
                                      for b in range(a, d + 1)}
     center = max(t.sigma, key=lambda u: len(rt.children[u]))
     assert len(rt.children[center]) == 39
     assert len(t.sigma[center]) == 419
+
+
+@pytest.mark.parametrize("mode", ["proper", "noncrossing"])
+def test_four_arm_joins_fire_on_right_angle_stars(count_calls, mode):
+    # each star makes one join of four arms: two path pairs and the join
+    # of those, three calls of the kernel where the k-part join made one
+    # (240 joins in all before)
+    joins = count_calls(treedecomp, "_join")
+    pairs = count_calls(treedecomp, "_path_pair")
+    fours = 0
+    for d in dp_family("right-angle stars"):
+        t = fill_gtd_tables(rooted(d), mode)
+        fours += sum(len(per_span) for sd in t.sigma_delta.values()
+                     for per_span in sd[4].values())
+    assert (joins(), pairs(), fours) == (252, 12, 12)
+
+
+def reference_join(ic, parts, apart, out):
+    """The k-part join that the kernel and the path-pair route replaced.
+
+    parts are sorted (key, entry) items in clockwise order. A candidate
+    takes one entry of each part and survives when the path from every
+    endpoint of an earlier part to every endpoint of a later part is
+    increasing-chord. It is keyed by its outermost endpoints, and ties
+    keep the first in lexicographic order of the keys.
+    """
+    extra = 1 - len(parts)
+    for ent in apart:
+        extra += ent[0]
+    # each prefix that passed so far: its first x, its last key, the
+    # path-IC rows of the endpoints before that key, its size, its entries
+    partial = [(key[0], key, (), ent[0], (ent,)) for key, ent in parts[0]]
+    for part in parts[1:]:
+        grown = []
+        for first, (x1, y1), rows, val, refs in partial:
+            rows += (ic[x1],) if x1 == y1 else (ic[x1], ic[y1])
+            for key, ent in part:
+                if all(key[0] in row and key[1] in row for row in rows):
+                    grown.append((first, key, rows, val + ent[0],
+                                  refs + (ent,)))
+        partial = grown
+    for first, (_, y), _, val, refs in partial:
+        val += extra
+        cur = out.get((first, y))
+        if cur is None or val < cur[0]:
+            out[(first, y)] = (val, (None, refs, apart))
+
+
+def random_join_inputs(rng, n_parts, paths):
+    """Path-IC rows of a random small tree, n_parts sorted parts of
+    single-edge entries keyed by its vertices (path keys (x, x) when
+    paths), and one run entry per gap between the parts."""
+    while True:
+        try:
+            d = random_tree_drawing(rng, rng.randint(3, 8))
+            break
+        except GRRError:
+            continue
+    ic = precompute_path_ic(rooted(d))
+    verts = sorted(ic)
+    edges = iter(range(1000))
+    parts = []
+    for _ in range(n_parts):
+        keys = set()
+        for _ in range(rng.randint(1, 5)):
+            x = rng.choice(verts)
+            keys.add((x, x) if paths else (x, rng.choice(verts)))
+        parts.append(sorted((key, (rng.randint(1, 4), (next(edges), (), ())))
+                            for key in keys))
+    runs = [rng.choice((_NOTHING, (rng.randint(1, 3), (next(edges), (), ()))))
+            for _ in range(n_parts - 1)]
+    return ic, verts, parts, runs
+
+
+def test_join_kernel_matches_the_k_part_reference():
+    rng = random.Random(22)
+    built = 0
+    for _ in range(300):
+        ic, verts, (left, right), runs = random_join_inputs(
+            rng, 2, rng.random() < 0.3)
+        # entries already in out: a later pair replaces one only when
+        # strictly smaller
+        held = {(rng.choice(verts), rng.choice(verts)):
+                (rng.randint(1, 8), (None, (), ())) for _ in range(3)}
+        want, got = dict(held), dict(held)
+        reference_join(ic, (left, right), tuple(runs), want)
+        treedecomp._join(ic, left, right, runs[0], got)
+        assert list(got.items()) == list(want.items())
+        built += len(got) - len(held)
+    assert built > 300
+
+
+def _entry_shape(ent):
+    return ent[0], sorted(sorted(c) for c in _components_of(ent))
+
+
+def test_path_pair_route_matches_the_four_part_reference():
+    rng = random.Random(4)
+    built = 0
+    for _ in range(300):
+        ic, _, parts, (below, mid, above) = random_join_inputs(rng, 4, True)
+        want, got = {}, {}
+        reference_join(ic, parts, (below, mid, above), want)
+        sm = {(2, 1): below, (4, 3): above}
+        treedecomp._join(ic, treedecomp._path_pair(ic, parts, sm, {}, 1, 2),
+                         treedecomp._path_pair(ic, parts, sm, {}, 3, 4), mid,
+                         got)
+        assert list(got) == list(want)
+        assert ([_entry_shape(ent) for ent in got.values()]
+                == [_entry_shape(ent) for ent in want.values()])
+        built += len(got)
+    assert built > 300
+
+
+def _tree_outcome(d):
+    return (min_gtd_exact(rooted(d), "proper").size,
+            min_gtd_exact(rooted(d), "noncrossing").size,
+            approx_gtd_proper(d).size, conflicting_pairs(d))
+
+
+def test_tree_solves_are_similarity_invariant():
+    # the maps keep every vertex and edge index, so outcomes compare
+    # directly
+    rng = random.Random(10)
+    drawings = [sun_drawing(rng, n) for n in (8, 10, 12, 14, 16)]
+    while len(drawings) < 200:
+        try:
+            drawings.append(random_tree_drawing(rng, rng.randint(2, 14)))
+        except GRRError:
+            continue
+    for d in drawings:
+        want = _tree_outcome(d)
+        for m in SIMILARITIES:
+            image = validate_drawing(
+                [(v, m(d.points[v])) for v in d.vertex_ids], d.edges)
+            assert _tree_outcome(image) == want
 
 
 # optimum sizes of the seeded 32-leg sun, recorded before the joins at
