@@ -37,7 +37,6 @@ from .drawing import (
     subdivide,
 )
 from .errors import BudgetExceededError, GRRError
-from .geometry import hp, in_hp
 from .multicut import Cut, MulticutInstance, approx_gvy, cut_components
 
 CONTACT_MODES = ("proper", "noncrossing", "any")
@@ -54,41 +53,48 @@ def precompute_path_ic(rt: RootedTree) -> dict[int, set[int]]:
     every vertex lies in hp(a, b) of each directed path edge a-b that
     leads toward it. On the path s = v0 .. vk = t, k >= 2, with s+ = v1
     and t- = v(k-1), every such condition that leaves out s or t is one
-    of the subpath s..t- or of the subpath s+..t, and only two take
-    both ends, so
+    of the subpath s..t- or of the subpath s+..t, so
 
         IC(s, t) = IC(s, t-) and IC(s+, t)
                    and t in hp(s, s+) and s in hp(t, t-).
 
     Adjacent pairs and IC(v, v) are True. Row s is filled by one walk
-    away from s per neighbour s+, which reaches t right after t-, so
-    IC(s, t-) is already known. When IC(s, t) is false the walk stops
-    there: every t' beyond t needs IC(s, t'-) and is false too, so a row
-    holds only its true targets and the walk visits nothing else.
-    Sources in postorder first walk down into each child's subtree: row
-    s+ was filled there by the child's own downward walks. Then sources
-    in reversed postorder walk out through their parent, whose row is by
-    then full. The walks hold O(n) frames, and the 2(n-1) directed-edge
-    halfplanes are built once, on the drawing's integer lattice.
+    away from s per neighbour s+, which reaches t right after t-. It
+    stops where IC(s, t) is false, as every t' beyond needs IC(s, t'-),
+    so it pops each ordered pair at most once and visits only true
+    targets. Sources in postorder walk down into each child's subtree,
+    whose rows are full; then sources in reversed postorder walk out
+    through their parent. Each pop makes the two halfplane tests as
+    integer dot products on the drawing's lattice, r in hp(p, q) iff
+    dot(r, q - p) >= dot(q, q - p): the step from v to w, built once per
+    drawing, is (w, w's x and y, hp(w, v) as nx, ny, c, v).
     """
     d = rt.drawing
     lat = d.lattice
-    nbrs = {v: [d.other_endpoint(e, v) for e in d.adjacency[v]]
-            for v in d.vertex_ids}
-    halfplanes = {(a, b): hp(lat[a], lat[b]) for a in nbrs for b in nbrs[a]}
+    # each vertex's steps in the order of its edges
+    steps: dict[int, list[tuple]] = {v: [] for v in d.vertex_ids}
+    for ends in d.edges:
+        for v, w in (ends, ends[::-1]):
+            (vx, vy), (wx, wy) = lat[v], lat[w]
+            nx, ny = vx - wx, vy - wy
+            steps[v].append((w, wx, wy, nx, ny, vx * nx + vy * ny, v))
     table: dict[int, set[int]] = {v: {v} for v in d.vertex_ids}
 
     def walk(s: int, first: int) -> None:
         row, ahead = table[s], table[first]
-        ps, h_first = lat[s], halfplanes[(s, first)]
+        (sx, sy), (fx, fy) = lat[s], lat[first]
+        ax, ay = fx - sx, fy - sy   # hp(s, first) holds every target
+        ac = fx * ax + fy * ay
         row.add(first)
-        stack = [(w, first) for w in nbrs[first] if w != s]
+        stack = [st for st in steps[first] if st[0] != s]
         while stack:
-            t, prev = stack.pop()
-            if (t in ahead and in_hp(h_first, lat[t])
-                    and in_hp(halfplanes[(t, prev)], ps)):
+            t, tx, ty, nx, ny, c, prev = stack.pop()
+            if (t in ahead and tx * ax + ty * ay >= ac
+                    and sx * nx + sy * ny >= c):
                 row.add(t)
-                stack.extend((w, t) for w in nbrs[t] if w != prev)
+                for st in steps[t]:
+                    if st[0] != prev:
+                        stack.append(st)
 
     for s in rt.postorder:
         for c in rt.children[s]:
@@ -126,7 +132,9 @@ class PartitionReport:
 
 
 def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
-    """Check every partition invariant and report them individually."""
+    """Check every partition invariant and report them individually.
+    Noncrossing contacts take one stack pass per shared vertex; only a
+    vertex that it rejects is scanned pair by pair, to name the pairs."""
     if p.contact_mode not in CONTACT_MODES:
         raise ValueError(f"unknown contact mode {p.contact_mode!r}")
     problems: list[str] = []
@@ -135,30 +143,24 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
     # ids of mixed types do not sort by value
     order = None if all(type(e) is int for c in comps for e in c) else repr
 
-    cover = True
     owner: dict[int, int] = {}
     for ci, c in enumerate(comps):
         if not c:
-            cover = False
             problems.append(f"component {ci} is empty")
         for e in sorted(c, key=order):
             if not (type(e) is int and 0 <= e < m):
-                cover = False
                 problems.append(f"component {ci} references unknown edge {e!r}")
             elif e in owner:
-                cover = False
                 problems.append(
                     f"edge {e} appears in components {owner[e]} and {ci}")
             else:
                 owner[e] = ci
     missing = sorted(set(range(m)) - set(owner))
     if missing:
-        cover = False
         problems.append(f"edges not covered: {missing}")
+    cover = not problems
 
-    conn = True
-    acyc = True
-    confl = True
+    conn = acyc = confl = True
     vsets: list[set[int]] = []
     for ci, c in enumerate(comps):
         edges = sorted(e for e in c if type(e) is int and 0 <= e < m)
@@ -202,7 +204,7 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
             problems.append(
                 f"components {ci} and {cj} share points {sorted(inter)}")
 
-    contacts = True
+    before = len(problems)
     shared = {v: set(cis) for v, cis in at.items() if len(cis) > 1}
     if p.contact_mode == "proper":
         for v in sorted(shared):
@@ -211,7 +213,6 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
                             if type(e) is int and 0 <= e < m
                             and v in d.edges[e]) >= 2]
             if len(heavy) > 1:
-                contacts = False
                 problems.append(
                     f"vertex {v} is interior to components {heavy}: "
                     f"contact is not proper")
@@ -220,23 +221,37 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
         # their edges interleave in the combined rotation at v
         for v in sorted(shared):
             owners = [owner.get(e) for e in clockwise_order(d, v)]
+            if _nested(owners):
+                continue
             for pair in combinations(sorted(shared[v]), 2):
                 seq = [o for o in owners if o in pair]
-                if len(seq) < 4:
-                    continue
-                flips = sum(1 for k in range(len(seq))
-                            if seq[k] != seq[(k + 1) % len(seq)])
-                if flips > 2:
-                    contacts = False
+                if sum(seq[k - 1] != seq[k] for k in range(len(seq))) > 2:
                     problems.append(
                         f"components {pair[0]} and {pair[1]} cross "
                         f"at vertex {v}")
 
     checks = (("coverage", cover), ("connectivity", conn),
               ("acyclicity", acyc), ("conflict-freeness", confl),
-              ("single-shared-point", single), ("contacts", contacts))
+              ("single-shared-point", single),
+              ("contacts", len(problems) == before))
     ok = all(flag for _, flag in checks)
     return PartitionReport(ok=ok, checks=checks, problems=tuple(problems))
+
+
+def _nested(owners: list) -> bool:
+    """Whether no two labels interleave in the cyclic sequence owners,
+    None left out: one stack pass, in which labels whose last occurrence
+    has passed are popped and a label may recur only while on top."""
+    last = {o: k for k, o in enumerate(owners)}
+    stack: list = []
+    for k, o in enumerate(owners):
+        while stack and last[stack[-1]] < k:
+            stack.pop()
+        if o is not None and (not stack or stack[-1] != o):
+            if o in stack:
+                return False
+            stack.append(o)
+    return True
 
 
 # -- the dynamic program --------------------------------------------------------
@@ -254,9 +269,10 @@ class DPTables:
     smallest tau entry. sigma_delta[u][k], for u's degree k = 1..4 in
     the root component, sigma[u] and sigma_m[u] are keyed by the
     child-index span (a, b) they cover. sigma_delta and sigma hold only
-    the spans with entries, and a span with entries of one degree only
-    shares that table as its sigma table; sigma_m holds every span
-    a <= b.
+    the spans with entries, in the order they were built, by width;
+    sigma_m holds every span a <= b. A sigma table folds in the degree
+    classes in order, each key keeping the first entry of least size,
+    and a span with entries of one degree only shares that table.
 
     Every entry is (size, (own_edge, joined, apart)): own_edge (or
     None) belongs to the entry's root component, the entries in joined
@@ -357,6 +373,15 @@ def _path_pair(ic: dict, paths: list, sm: dict, pairs: dict, i: int,
     return pairs[(i, j)]
 
 
+def _fold(merged: Optional[dict], cls: dict) -> dict:
+    """cls folded into a new copy of merged (cls itself when merged is
+    None): each key keeps the first entry of least size, merged first."""
+    if merged is None:
+        return cls
+    return {**merged, **{key: ent for key, ent in cls.items()
+                         if key not in merged or ent[0] < merged[key][0]}}
+
+
 def _bits(mask: int):
     """The indices of the set bits of mask, lowest first."""
     while mask:
@@ -407,19 +432,21 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
             for a in range(1, d - w + 1):
                 b = a + w
                 span = (a, b)
+                # the span's sigma table, each degree class folded in
+                merged = None
                 if w == 0:
-                    sd[1][span] = {key: (ent[0], (None, (ent,), ()))
-                                   for key, ent in taus[a - 1]}
+                    merged = sd[1][span] = {
+                        key: (ent[0], (None, (ent,), ()))
+                        for key, ent in taus[a - 1]}
                 elif (first_fit[a] & last_fit[a]) >> b & 1:
                     ent2 = {}
                     _join(ic, taus[a - 1], taus[b - 1], sm[(a + 1, b - 1)], ent2)
                     if ent2:
-                        sd[2][span] = ent2
+                        merged = sd[2][span] = ent2
                         sorted2[span] = sorted(ent2.items())
                         pair_from[a] |= 1 << b
                         pair_to[b] |= 1 << a
                 if w >= 2:
-                    ent3 = {}
                     inside = (1 << b) - (2 << a)    # the children a+1..b-1
                     # a pair part a..mm brings a's firsts and mm's lasts to
                     # child b; a pair part mm..b brings mm's firsts and b's
@@ -428,15 +455,19 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                             if first_fit[b] >> a & 1 else 0)
                     highs = (first_fit[a] & pair_to[b]
                              if last_fit[a] >> b & 1 else 0)
-                    for mm in _bits((lows | highs) & inside):
-                        if lows >> mm & 1:
-                            _join(ic, sorted2[(a, mm)], taus[b - 1],
-                                  sm[(mm + 1, b - 1)], ent3)
-                        if highs >> mm & 1:
-                            _join(ic, taus[a - 1], sorted2[(mm, b)],
-                                  sm[(a + 1, mm - 1)], ent3)
-                    if ent3:
-                        sd[3][span] = ent3
+                    mids = (lows | highs) & inside
+                    if mids:
+                        ent3 = {}
+                        for mm in _bits(mids):
+                            if lows >> mm & 1:
+                                _join(ic, sorted2[(a, mm)], taus[b - 1],
+                                      sm[(mm + 1, b - 1)], ent3)
+                            if highs >> mm & 1:
+                                _join(ic, taus[a - 1], sorted2[(mm, b)],
+                                      sm[(a + 1, mm - 1)], ent3)
+                        if ent3:
+                            sd[3][span] = ent3
+                            merged = _fold(merged, ent3)
                 if w >= 3 and arms[a] >> b & 1:
                     ent4 = {}
                     # every two of the four arms must fit: join the path
@@ -449,24 +480,17 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                                   sm[(jj + 1, kk - 1)], ent4)
                     if ent4:
                         sd[4][span] = ent4
-                # each key keeps the first entry of least size, in order
-                # of the degree classes
-                classes = [sd[dl][span] for dl in (1, 2, 3, 4)
-                           if span in sd[dl]]
-                if not classes:
+                        merged = _fold(merged, ent4)
+                if merged is None:
                     continue
-                merged = classes[0]
-                if len(classes) > 1:
-                    merged = dict(merged)
-                    for cls in classes[1:]:
-                        for key, ent in cls.items():
-                            cur = merged.get(key)
-                            if cur is None or ent[0] < cur[0]:
-                                merged[key] = ent
                 sg[span] = merged
                 # the first entry of least size, in key order
-                least = min((ent[0], key) for key, ent in merged.items())
-                sig_runs[a].append((b, merged[least[1]]))
+                least_key = least = None
+                for key, ent in merged.items():
+                    if (least is None or ent[0] < least[0]
+                            or (ent[0] == least[0] and key < least_key)):
+                        least_key, least = key, ent
+                sig_runs[a].append((b, least))
 
             for a in range(1, d - w + 1):
                 b = a + w
@@ -491,25 +515,26 @@ def fill_gtd_tables(rt: RootedTree, mode: str) -> DPTables:
                             f"no partition for span {(a, b)} at {u}")
                 sm[(a, b)] = best
 
-        # the parent edge joins a sigma component, or stands alone
+        # the parent edge joins a sigma component: a key's ends lie below
+        # its span's first and last child, so no key is in two spans
         row = ic[rt.parent[u]]
         tu: dict = {}
-        alone = None
-        for span in sorted(sg):
-            a, b = span
+        for (a, b), merged in sg.items():
             left, right = sm[(1, a - 1)], sm[(b + 1, d)]
-            for key, ent in sorted(sg[span].items()):
-                val = left[0] + ent[0] + right[0]
-                x, y = key
-                cur = tu.get(key)
-                if x in row and y in row and (cur is None or val < cur[0]):
+            for key, ent in merged.items():
+                if key[0] in row and key[1] in row:
+                    val = left[0] + ent[0] + right[0]
                     tu[key] = (val, (pe, (ent,), (left, right)))
-                if alone is None or val < alone[0]:
-                    alone = (val, (left, ent, right))
         if mode == "proper":
-            if alone is None:
+            # or it stands alone beside the first least sigma entry, in
+            # (span, key) order
+            alone = [(sm[(1, a - 1)][0] + bs[0] + sm[(b + 1, d)][0], a, b, bs)
+                     for a in range(1, d + 1) for b, bs in sig_runs[a]]
+            if not alone:
                 raise GRRError(f"no proper partition below vertex {u}")
-            tu[(u, u)] = (1 + alone[0], (pe, (), alone[1]))
+            val, a, b, bs = min(alone)
+            tu[(u, u)] = (1 + val, (pe, (), (sm[(1, a - 1)], bs,
+                                             sm[(b + 1, d)])))
         else:
             tu[(u, u)] = (1 + sm[(1, d)][0], (pe, (), (sm[(1, d)],)))
         t.tau[u] = tu

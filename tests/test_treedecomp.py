@@ -3,6 +3,8 @@
 import hashlib
 import math
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
@@ -30,7 +32,7 @@ from grrdecomp.fixtures import (
     plus_drawing,
     star4_cross,
 )
-from grrdecomp.geometry import Point, pt
+from grrdecomp.geometry import Point, hp, in_hp, pt
 from grrdecomp.multicut import is_multicut
 from grrdecomp.oracle import random_tree_drawing
 from grrdecomp.treedecomp import (
@@ -120,15 +122,84 @@ def test_path_table_matches_direct_predicate_on_subdivided_trees():
         done += 1
 
 
-def test_path_table_makes_at_most_two_halfplane_tests_per_pair(count_calls):
-    # the recurrence tests two halfplanes per ordered pair; a walk that
-    # re-scans each path would make about 2 * n**3 / 3 tests here
+def test_path_table_pops_at_most_one_step_per_ordered_pair():
+    # each pop decides one ordered pair with two halfplane tests; a walk
+    # that re-scans each path would pop about n**3 / 3 steps here
     d = zigzag(random.Random(200), 200)
     n = d.n_vertices
-    calls = count_calls(treedecomp, "in_hp")
-    rows = precompute_path_ic(rooted(d))
-    assert 0 < calls() <= 2 * n * (n - 1)
+    rt = rooted(d)
+    pops = 0
+
+    def count_pops(frame, event, arg):
+        nonlocal pops
+        if (event == "c_call" and getattr(arg, "__name__", "") == "pop"
+                and type(getattr(arg, "__self__", None)) is list
+                and frame.f_code.co_filename == treedecomp.__file__):
+            pops += 1
+
+    sys.setprofile(count_pops)
+    try:
+        rows = precompute_path_ic(rt)
+    finally:
+        sys.setprofile(None)
+    assert 0 < pops <= n * (n - 1)
     assert n - 1 in rows[0] and 0 in rows[n - 1]
+
+
+def reference_path_ic(rt):
+    """The halfplane walk that precompute_path_ic replaced: the same
+    recurrence, each test an in_hp call on a Halfplane of the lattice."""
+    d = rt.drawing
+    lat = d.lattice
+    nbrs = {v: [d.other_endpoint(e, v) for e in d.adjacency[v]]
+            for v in d.vertex_ids}
+    halfplanes = {(a, b): hp(lat[a], lat[b]) for a in nbrs for b in nbrs[a]}
+    table = {v: {v} for v in d.vertex_ids}
+
+    def walk(s, first):
+        row, ahead = table[s], table[first]
+        ps, h_first = lat[s], halfplanes[(s, first)]
+        row.add(first)
+        stack = [(w, first) for w in nbrs[first] if w != s]
+        while stack:
+            t, prev = stack.pop()
+            if (t in ahead and in_hp(h_first, lat[t])
+                    and in_hp(halfplanes[(t, prev)], ps)):
+                row.add(t)
+                stack.extend((w, t) for w in nbrs[t] if w != prev)
+
+    for s in rt.postorder:
+        for c in rt.children[s]:
+            walk(s, c)
+    for s in reversed(rt.postorder):
+        if rt.parent[s] is not None:
+            walk(s, rt.parent[s])
+    return table
+
+
+def test_path_table_matches_the_halfplane_reference():
+    # as drawn and under both similarities, rooted at two leaves each
+    rng = random.Random(24)
+    drawings = [sun_drawing(rng, n) for n in (6, 9, 12)] + [sun(rng)]
+    drawings += [zigzag(rng, n) for n in (5, 12, 25)]
+    drawings += [sawtooth(rng, n) for n in (5, 12, 25)]
+    while len(drawings) < 40:
+        try:
+            drawings.append(random_tree_drawing(rng, rng.randint(2, 12)))
+        except GRRError:
+            continue
+    checked = 0
+    for d in drawings:
+        for m in (None, *SIMILARITIES):
+            image = d if m is None else validate_drawing(
+                [(v, m(d.points[v])) for v in d.vertex_ids], d.edges)
+            leaves = [v for v in image.vertex_ids
+                      if len(image.adjacency[v]) == 1]
+            for r in (leaves[0], leaves[-1]):
+                rt = root_tree(image, r)
+                assert precompute_path_ic(rt) == reference_path_ic(rt)
+                checked += 1
+    assert checked == 240
 
 
 def test_path_table_rows_hold_only_true_targets():
@@ -265,6 +336,47 @@ def test_validator_flags_crossing_contact():
     report = validate_partition(
         star4_cross(), Partition(comps({0, 2}, {1, 3}), "noncrossing"))
     assert failing_checks(report) == ["contacts"]
+
+
+def test_validator_names_every_crossing_pair_at_a_vertex():
+    # eight legs 45 degrees apart: legs 0, 2 cross legs 1, 3 and legs
+    # 4, 6 cross legs 5, 7, each pair named once, in pair order
+    rays = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+            (1, -1))
+    star = validate_drawing(
+        [(0, pt(0, 0))] + [(k + 1, pt(2 * x, 2 * y))
+                           for k, (x, y) in enumerate(rays)],
+        [(0, k + 1) for k in range(8)])
+    report = validate_partition(
+        star, Partition(comps({0, 2}, {1, 3}, {4, 6}, {5, 7}), "noncrossing"))
+    assert failing_checks(report) == ["contacts"]
+    assert report.problems == ("components 0 and 1 cross at vertex 0",
+                               "components 2 and 3 cross at vertex 0")
+
+
+def pairwise_crossing(owners):
+    """Whether two labels of the cyclic sequence owners interleave, by
+    counting each pair's flips around the cycle."""
+    for pair in combinations(sorted({o for o in owners if o is not None}), 2):
+        seq = [o for o in owners if o in pair]
+        if sum(seq[k] != seq[(k + 1) % len(seq)] for k in range(len(seq))) > 2:
+            return True
+    return False
+
+
+def test_stack_pass_matches_the_pairwise_flip_count():
+    # random cyclic sequences with None and repeated labels, read from
+    # every start
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        labels = [None] + list(range(rng.randint(1, 4)))
+        owners = [rng.choice(labels) for _ in range(rng.randint(0, 10))]
+        want = not pairwise_crossing(owners)
+        for k in range(max(1, len(owners))):
+            assert treedecomp._nested(owners[k:] + owners[:k]) == want, owners
+        verdicts[want] += 1
+    assert min(verdicts.values()) > 200
 
 
 # -- exact decomposition ------------------------------------------------------------
@@ -519,6 +631,24 @@ def test_join_kernel_matches_the_k_part_reference():
         assert list(got.items()) == list(want.items())
         built += len(got) - len(held)
     assert built > 300
+
+
+def test_join_needs_all_four_row_tests():
+    # two-edge keys with distinct ends: a pair survives only when both
+    # ends of the right key lie on the rows of both ends of the left key,
+    # so dropping any one of the four from its rows builds nothing
+    x, y, p, q = 0, 1, 2, 3
+    left = [((x, y), (1, (10, (), ())))]
+    right = [((p, q), (1, (11, (), ())))]
+    for drop in ((x, p), (x, q), (y, p), (y, q), ()):
+        ic = {v: {x, y, p, q} for v in (x, y, p, q)}
+        if drop:
+            a, b = drop
+            ic[a].discard(b)
+            ic[b].discard(a)
+        out = {}
+        treedecomp._join(ic, left, right, _NOTHING, out)
+        assert list(out) == ([] if drop else [(x, q)]), drop
 
 
 def _entry_shape(ent):
