@@ -12,7 +12,6 @@ routable on its own.
 from pathlib import Path
 
 from grrdecomp.analysis import trace_greedy_path
-from grrdecomp.fixtures import USHAPE_FAILURE_PAIR
 from grrdecomp.formats import parse_polygon
 from grrdecomp.geometry import pt
 from grrdecomp.svg import render_svg
@@ -41,7 +40,7 @@ def main():
     lshape, _ = parse_polygon((ROOT / "fixtures" / "lshape.json").read_text())
     show("lshape", lshape, pt("15/8", "7/8"), pt("7/8", "15/8"))
     ushape, _ = parse_polygon((ROOT / "fixtures" / "ushape.json").read_text())
-    show("ushape", ushape, *USHAPE_FAILURE_PAIR)
+    show("ushape", ushape, pt("1/2", "5/2"), pt("5/2", "5/2"))
 
 
 if __name__ == "__main__":

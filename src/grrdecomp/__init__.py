@@ -1,106 +1,6 @@
 """Decompositions of plane tree drawings and triangulated polygons into
-greedily routable regions, with exact rational geometry throughout."""
+greedily routable regions, with exact rational geometry throughout.
 
-from .analysis import (
-    ConflictWitness,
-    GreedyTrace,
-    clockwise_between,
-    conflicting_pairs,
-    drawing_edges_conflict,
-    four_path_union_ic,
-    path_increasing_chord,
-    polygon_conflicting_edge_pairs,
-    polygon_edges_conflict,
-    polygon_is_grr,
-    trace_greedy_path,
-    tree_increasing_chord,
-    triangles_conflict,
-)
-from .drawing import (
-    Drawing,
-    RootedTree,
-    SubdividedDrawing,
-    clockwise_order,
-    default_root,
-    root_tree,
-    subdivide,
-    validate_drawing,
-)
-from .errors import (
-    BudgetExceededError,
-    CrossingDiagonalsError,
-    CrossingEdgesError,
-    DegeneratePathError,
-    DuplicateEdgeError,
-    DuplicateVertexError,
-    FormatError,
-    GRRError,
-    IncompleteTriangulationError,
-    InputError,
-    InvalidPathFamilyError,
-    InvalidTriangulationError,
-    NotATreeError,
-    NotCounterclockwiseError,
-    NotSimplePolygonError,
-    OverlappingEdgesError,
-    PieceNotSimpleError,
-    PointOutsidePolygonError,
-    RootNotDegreeOneError,
-    SameTriangleError,
-    UnknownEdgeError,
-    UnknownTriangleError,
-    UnknownVertexError,
-    ZeroLengthEdgeError,
-)
-from .geometry import (
-    Halfplane,
-    Point,
-    Polygon,
-    Segment,
-    cross,
-    dot,
-    frac,
-    hp,
-    in_hp,
-    on_segment,
-    orientation,
-    point_in_polygon,
-    pt,
-    segment_intersection,
-    sq_dist,
-)
-from .multicut import (
-    Cut,
-    MulticutInstance,
-    approx_gvy,
-    is_multicut,
-    multicut_weight,
-    solve_exact_small,
-)
-from .polydecomp import (
-    PolygonDecomposition,
-    TriangulatedPolygon,
-    build_dual_tree,
-    conflicting_triangle_pairs,
-    decompose_polygon_approx,
-    decompose_polygon_exact_small,
-    piece_union_polygon,
-)
-from .treedecomp import (
-    CONTACT_MODES,
-    DPTables,
-    Partition,
-    PartitionReport,
-    approx_gtd_proper,
-    approx_gtd_with_splits,
-    build_multicut_instance,
-    fill_gtd_tables,
-    min_gtd_exact,
-    min_gtd_with_splits,
-    multicut_to_partition,
-    partition_to_multicut,
-    precompute_path_ic,
-    validate_partition,
-)
+The package root exports only __version__; import from the modules."""
 
 __version__ = "0.1.0"

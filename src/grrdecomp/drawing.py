@@ -60,9 +60,6 @@ class Drawing:
             self.points[vid] for vid in self.vertex_ids)))
         self._rotation: Optional[dict[int, tuple[int, ...]]] = None
 
-    def point(self, vid: int) -> Point:
-        return self.points[vid]
-
     def segment(self, edge_idx: int) -> Segment:
         u, v = self.edges[edge_idx]
         return Segment(self.points[u], self.points[v])

@@ -161,13 +161,11 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
     cover = not problems
 
     conn = acyc = confl = True
-    vsets: list[set[int]] = []
     for ci, c in enumerate(comps):
         edges = sorted(e for e in c if type(e) is int and 0 <= e < m)
         verts: set[int] = set()
         for e in edges:
             verts.update(d.edges[e])
-        vsets.append(verts)
         if not edges:
             continue
         eset = set(edges)
@@ -187,15 +185,12 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
             problems.append(f"component {ci} has conflicting edges "
                             f"{found[0]} and {found[1]}")
 
-    # the components at each vertex, in index order, and the points
-    # each pair of components shares: work linear in the contacts
-    at: dict[int, list[int]] = {}
-    for ci, vs in enumerate(vsets):
-        for v in vs:
-            at.setdefault(v, []).append(ci)
+    # the points each pair of components shares: work linear in the
+    # contacts
+    at = _edges_at(d, comps)
     common: dict[tuple[int, int], list[int]] = {}
-    for v, cis in at.items():
-        for pair in combinations(cis, 2):
+    for v, at_v in at.items():
+        for pair in combinations(at_v, 2):
             common.setdefault(pair, []).append(v)
     single = True
     for (ci, cj), inter in sorted(common.items()):
@@ -205,13 +200,10 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
                 f"components {ci} and {cj} share points {sorted(inter)}")
 
     before = len(problems)
-    shared = {v: set(cis) for v, cis in at.items() if len(cis) > 1}
+    shared = sorted(v for v, at_v in at.items() if len(at_v) > 1)
     if p.contact_mode == "proper":
-        for v in sorted(shared):
-            heavy = [ci for ci in sorted(shared[v])
-                     if sum(1 for e in comps[ci]
-                            if type(e) is int and 0 <= e < m
-                            and v in d.edges[e]) >= 2]
+        for v in shared:
+            heavy = [ci for ci, es in at[v].items() if len(es) >= 2]
             if len(heavy) > 1:
                 problems.append(
                     f"vertex {v} is interior to components {heavy}: "
@@ -219,11 +211,11 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
     elif p.contact_mode == "noncrossing":
         # crossing is a pairwise notion: two components cross at v when
         # their edges interleave in the combined rotation at v
-        for v in sorted(shared):
+        for v in shared:
             owners = [owner.get(e) for e in clockwise_order(d, v)]
             if _nested(owners):
                 continue
-            for pair in combinations(sorted(shared[v]), 2):
+            for pair in combinations(at[v], 2):
                 seq = [o for o in owners if o in pair]
                 if sum(seq[k - 1] != seq[k] for k in range(len(seq))) > 2:
                     problems.append(
@@ -236,6 +228,19 @@ def validate_partition(d: Drawing, p: Partition) -> PartitionReport:
               ("contacts", len(problems) == before))
     ok = all(flag for _, flag in checks)
     return PartitionReport(ok=ok, checks=checks, problems=tuple(problems))
+
+
+def _edges_at(d: Drawing, comps) -> dict[int, dict[int, list[int]]]:
+    """{vertex: {component index: its edges at that vertex}}, over the
+    known edges of each component, with components in index order."""
+    m = d.n_edges
+    at: dict[int, dict[int, list[int]]] = {}
+    for ci, c in enumerate(comps):
+        for e in c:
+            if type(e) is int and 0 <= e < m:
+                for v in d.edges[e]:
+                    at.setdefault(v, {}).setdefault(ci, []).append(e)
+    return at
 
 
 def _nested(owners: list) -> bool:
@@ -651,14 +656,8 @@ def multicut_to_partition(d: Drawing, inst: MulticutInstance,
 def partition_to_multicut(d: Drawing, p: Partition) -> Cut:
     """The conflict-tree cut induced by a partition: at every shared
     vertex, detach all but one incident component."""
-    m = d.n_edges
-    comp_edges_at: dict[int, dict[int, list[int]]] = {}
-    for ci, c in enumerate(p.components):
-        for e in c:
-            for v in d.edges[e]:
-                comp_edges_at.setdefault(v, {}).setdefault(ci, []).append(e)
     cut_edges = set()
-    for v, at_v in comp_edges_at.items():
+    for v, at_v in _edges_at(d, p.components).items():
         keeper = min(at_v, key=lambda ci: (-len(at_v[ci]), min(at_v[ci])))
         cut_edges.update((("e", e), ("v", v)) for ci, es in at_v.items()
                          if ci != keeper for e in es)

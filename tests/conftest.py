@@ -11,10 +11,11 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from grrdecomp import fixtures as fx
 from grrdecomp.analysis import (
     clockwise_between,
     four_path_union_ic,
@@ -29,6 +30,7 @@ from grrdecomp.drawing import (
     validate_drawing,
 )
 from grrdecomp.errors import GRRError
+from grrdecomp.formats import parse_drawing, parse_polygon
 from grrdecomp.geometry import (
     LatticePoint,
     Point,
@@ -68,27 +70,58 @@ from grrdecomp.treedecomp import (
 
 # -- fixture inventories -------------------------------------------------------
 
+# the named instances live in fixtures/*.json only; README lists their roles
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+TREE_FIXTURES = ("p_ic", "p_acute", "star3", "plus", "star4_cross", "comb")
+POLYGON_FIXTURES = ("rect", "lshape", "ushape", "two_notch", "hexagon", "fan")
+
+
+def fixture_text(name):
+    return (FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
+def load_drawing(name):
+    """A fresh tree fixture, read as the CLI reads it."""
+    return parse_drawing(fixture_text(name))
+
+
+def load_tp(name):
+    """A fresh polygon fixture, parsed and triangulated as the CLI does."""
+    return build_dual_tree(*parse_polygon(fixture_text(name)))
+
+
+def load_polygon(name):
+    return parse_polygon(fixture_text(name))[0]
+
+
+p_ic = partial(load_drawing, "p_ic")
+p_acute = partial(load_drawing, "p_acute")
+star3 = partial(load_drawing, "star3")
+plus_drawing = partial(load_drawing, "plus")
+star4_cross = partial(load_drawing, "star4_cross")
+comb_drawing = partial(load_drawing, "comb")
+rect_tp = partial(load_tp, "rect")
+lshape_tp = partial(load_tp, "lshape")
+lshape_polygon = partial(load_polygon, "lshape")
+ushape_tp = partial(load_tp, "ushape")
+ushape_polygon = partial(load_polygon, "ushape")
+two_notch_tp = partial(load_tp, "two_notch")
+two_notch_polygon = partial(load_polygon, "two_notch")
+convex_hexagon_tp = partial(load_tp, "hexagon")
+convex_fan_tp = partial(load_tp, "fan")
+
+# a pair of points in the U whose greedy route is stuck at the notch
+USHAPE_FAILURE_PAIR = (pt("1/2", "5/2"), pt("5/2", "5/2"))
+USHAPE_FAILURE_POINT = pt(1, "5/2")
+
+
 def tree_fixture_drawings():
-    """All named tree drawings, keyed by the name used in reports."""
-    return {
-        "p_ic": fx.p_ic(),
-        "p_acute": fx.p_acute(),
-        "star3": fx.star3(),
-        "plus": fx.plus_drawing(),
-        "star4_cross": fx.star4_cross(),
-        "comb": fx.comb_drawing(),
-    }
+    """All named tree drawings, keyed by their file names."""
+    return {name: load_drawing(name) for name in TREE_FIXTURES}
 
 
 def polygon_fixture_tps():
-    return {
-        "rect": fx.rect_tp(),
-        "lshape": fx.lshape_tp(),
-        "ushape": fx.ushape_tp(),
-        "two_notch": fx.two_notch_tp(),
-        "hexagon": fx.convex_hexagon_tp(),
-        "fan": fx.convex_fan_tp(),
-    }
+    return {name: load_tp(name) for name in POLYGON_FIXTURES}
 
 
 def grr_polygon_fixtures():
@@ -96,10 +129,10 @@ def grr_polygon_fixtures():
     square = Polygon([pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)])
     return {
         "square": square,
-        "rect": fx.rect_tp().polygon,
-        "lshape": fx.lshape_polygon(),
-        "hexagon": fx.convex_hexagon_tp().polygon,
-        "fan": fx.convex_fan_tp().polygon,
+        "rect": load_polygon("rect"),
+        "lshape": load_polygon("lshape"),
+        "hexagon": load_polygon("hexagon"),
+        "fan": load_polygon("fan"),
     }
 
 
@@ -249,6 +282,14 @@ SIMILARITIES = (
     lambda p: Point(-p.y, p.x),
     lambda p: Point((3 * p.x - 4 * p.y) / 5 + Fraction(1, 7),
                     (4 * p.x + 3 * p.y) / 5 - Fraction(2, 3)),
+)
+
+# a mirror image in the y-axis, and the 3-4-5 reflection with the same
+# translation
+REFLECTIONS = (
+    lambda p: Point(-p.x, p.y),
+    lambda p: Point((3 * p.x + 4 * p.y) / 5 + Fraction(1, 7),
+                    (4 * p.x - 3 * p.y) / 5 - Fraction(2, 3)),
 )
 
 

@@ -9,15 +9,20 @@ import random
 import time
 
 from conftest import (
+    USHAPE_FAILURE_PAIR,
+    USHAPE_FAILURE_POINT,
     connected_edge_subsets,
     grr_polygon_fixtures,
     polygon_fixture_tps,
+    rect_tp,
     tree_fixture_drawings,
     tree_path_points,
+    two_notch_polygon,
+    ushape_polygon,
+    ushape_tp,
     witness_defects,
 )
 
-from grrdecomp import fixtures as fx
 from grrdecomp.analysis import (
     conflicting_pairs,
     drawing_edges_conflict,
@@ -124,8 +129,8 @@ def test_criterion_5_polygon_pipeline(polygon_corpus):
         for dec in (rec["exact"], rec["approx"]):
             for piece in dec.pieces:
                 assert polygon_is_grr(piece_union_polygon(tp, piece)) is None
-    assert decompose_polygon_exact_small(fx.ushape_tp()).size == 2
-    assert decompose_polygon_exact_small(fx.rect_tp()).size == 1
+    assert decompose_polygon_exact_small(ushape_tp()).size == 2
+    assert decompose_polygon_exact_small(rect_tp()).size == 1
     for name, tp in polygon_fixture_tps().items():
         dec = decompose_polygon_exact_small(tp)
         for piece in dec.pieces:
@@ -200,10 +205,10 @@ def test_criterion_7_greedy_tracing_and_witness_soundness(trace_probes):
         assert report.successes == 500, (name, report.failures)
         assert report.failures == (), name
         assert report.monotone_ok, name
-    bad = sampled_grr_probe(fx.ushape_polygon(), 1, seed=7,
-                            extra_pairs=[fx.USHAPE_FAILURE_PAIR])
+    bad = sampled_grr_probe(ushape_polygon(), 1, seed=7,
+                            extra_pairs=[USHAPE_FAILURE_PAIR])
     assert bad.successes == 0 and len(bad.failures) == 1
-    assert bad.failures[0][2] == fx.USHAPE_FAILURE_POINT
+    assert bad.failures[0][2] == USHAPE_FAILURE_POINT
     for d in tree_fixture_drawings().values():
         for e, f in conflicting_pairs(d):
             for w in (drawing_edges_conflict(d, e, f),
@@ -211,7 +216,7 @@ def test_criterion_7_greedy_tracing_and_witness_soundness(trace_probes):
                 if w is not None:
                     assert witness_defects(d.segment(w.e),
                                            d.segment(w.f), w) == []
-    for poly in (fx.ushape_polygon(), fx.two_notch_polygon()):
+    for poly in (ushape_polygon(), two_notch_polygon()):
         for e, f in polygon_conflicting_edge_pairs(poly):
             for w in (polygon_edges_conflict(poly, e, f),
                       polygon_edges_conflict(poly, f, e)):

@@ -8,11 +8,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    USHAPE_FAILURE_PAIR,
+    USHAPE_FAILURE_POINT,
+    comb_drawing,
     grr_polygon_fixtures,
+    lshape_polygon,
+    p_acute,
+    p_ic,
+    plus_drawing,
     sawtooth,
+    star4_cross,
     sun_drawing,
     tree_fixture_drawings,
     tree_path_points,
+    ushape_polygon,
+    ushape_tp,
     witness_defects,
     zigzag,
 )
@@ -38,18 +48,6 @@ from grrdecomp.errors import (
     SameTriangleError,
     UnknownEdgeError,
     UnknownTriangleError,
-)
-from grrdecomp.fixtures import (
-    USHAPE_FAILURE_PAIR,
-    USHAPE_FAILURE_POINT,
-    comb_drawing,
-    lshape_polygon,
-    p_acute,
-    p_ic,
-    plus_drawing,
-    star4_cross,
-    ushape_polygon,
-    ushape_tp,
 )
 from grrdecomp.geometry import (
     LatticePoint,

@@ -13,18 +13,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import sawtooth
-from grrdecomp import analysis, cli, drawing, geometry, treedecomp
-from grrdecomp.cli import main
-from grrdecomp.drawing import default_root, root_tree, subdivide
-from grrdecomp.fixtures import (
+from conftest import (
     comb_drawing,
     lshape_polygon,
     p_ic,
+    sawtooth,
     star4_cross,
     ushape_polygon,
     ushape_tp,
 )
+from grrdecomp import analysis, cli, drawing, geometry, treedecomp
+from grrdecomp.cli import main
+from grrdecomp.drawing import default_root, root_tree, subdivide
 from grrdecomp.formats import (
     parse_decomposition,
     parse_drawing,

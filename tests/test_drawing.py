@@ -16,7 +16,7 @@ from grrdecomp.drawing import (
     subdivide,
     validate_drawing,
 )
-from conftest import sawtooth
+from conftest import comb_drawing, p_ic, plus_drawing, sawtooth, star4_cross
 from grrdecomp.errors import (
     BudgetExceededError,
     CrossingEdgesError,
@@ -29,7 +29,6 @@ from grrdecomp.errors import (
     UnknownVertexError,
     ZeroLengthEdgeError,
 )
-from grrdecomp.fixtures import comb_drawing, p_ic, plus_drawing, star4_cross
 from grrdecomp.formats import serialize_drawing
 from grrdecomp.geometry import pt
 from grrdecomp.oracle import random_tree_drawing

@@ -1,34 +1,38 @@
-"""The serialized fixture files must stay in sync with the code."""
-
-from pathlib import Path
+"""Each fixture file matches what the formats code writes for it: the file
+is the canonical text of the instance it holds, so a file edited by hand
+cannot drift into a second spelling of the same instance."""
 
 import pytest
 
-from conftest import polygon_fixture_tps, tree_fixture_drawings
+from conftest import (
+    FIXTURE_DIR,
+    POLYGON_FIXTURES,
+    TREE_FIXTURES,
+    fixture_text,
+)
 
-from grrdecomp.formats import parse_drawing, parse_polygon
+from grrdecomp.formats import (
+    parse_drawing,
+    parse_polygon,
+    serialize_drawing,
+    serialize_triangulated,
+)
 from grrdecomp.polydecomp import build_dual_tree
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
-
-@pytest.mark.parametrize("name", sorted(tree_fixture_drawings()))
+@pytest.mark.parametrize("name", sorted(TREE_FIXTURES))
 def test_drawing_file_matches_code(name):
-    text = (FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8")
-    assert parse_drawing(text) == tree_fixture_drawings()[name]
+    text = fixture_text(name)
+    assert serialize_drawing(parse_drawing(text)) == text
 
 
-@pytest.mark.parametrize("name", sorted(polygon_fixture_tps()))
+@pytest.mark.parametrize("name", sorted(POLYGON_FIXTURES))
 def test_polygon_file_matches_code(name):
-    text = (FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8")
-    poly, diagonals = parse_polygon(text)
-    got = build_dual_tree(poly, diagonals)
-    want = polygon_fixture_tps()[name]
-    assert got.polygon.points == want.polygon.points
-    assert sorted(got.diagonals) == sorted(want.diagonals)
-    assert got.triangles == want.triangles
+    text = fixture_text(name)
+    tp = build_dual_tree(*parse_polygon(text))
+    assert serialize_triangulated(tp) == text
 
 
 def test_no_stray_fixture_files():
     names = {p.stem for p in FIXTURE_DIR.glob("*.json")}
-    assert names == set(tree_fixture_drawings()) | set(polygon_fixture_tps())
+    assert names == set(TREE_FIXTURES) | set(POLYGON_FIXTURES)

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import tree_fixture_drawings
+from conftest import comb_drawing, tree_fixture_drawings, ushape_tp
 from grrdecomp.drawing import default_root, root_tree
 from grrdecomp.errors import CrossingEdgesError, FormatError
-from grrdecomp.fixtures import comb_drawing, ushape_tp
 from grrdecomp.formats import (
     detect_kind,
     parse_decomposition,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import segment_contact
+from conftest import segment_contact, ushape_polygon
 from grrdecomp import geometry
 from grrdecomp.errors import NotCounterclockwiseError, NotSimplePolygonError
 from grrdecomp.geometry import (
@@ -334,8 +334,6 @@ def test_point_in_polygon():
 
 
 def test_point_in_polygon_concave():
-    from grrdecomp.fixtures import ushape_polygon
-
     poly = ushape_polygon()
     assert point_in_polygon(poly, pt("3/2", 2)) == "outside"  # inside the notch
     assert point_in_polygon(poly, pt("1/2", 2)) == "inside"

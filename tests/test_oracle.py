@@ -4,21 +4,23 @@ import random
 
 import pytest
 
-from conftest import strip_tp, tree_fixture_drawings, tree_path_points
-from grrdecomp.analysis import path_increasing_chord, tree_increasing_chord
-from grrdecomp.drawing import validate_drawing
-from grrdecomp.errors import BudgetExceededError, InputError, NotATreeError
-from grrdecomp.fixtures import (
+from conftest import (
     USHAPE_FAILURE_PAIR,
     USHAPE_FAILURE_POINT,
     lshape_tp,
     plus_drawing,
     rect_tp,
     star4_cross,
+    strip_tp,
+    tree_fixture_drawings,
+    tree_path_points,
     two_notch_tp,
     ushape_polygon,
     ushape_tp,
 )
+from grrdecomp.analysis import path_increasing_chord, tree_increasing_chord
+from grrdecomp.drawing import validate_drawing
+from grrdecomp.errors import BudgetExceededError, InputError, NotATreeError
 from grrdecomp.geometry import Polygon, pt
 from grrdecomp.oracle import (
     ORACLE_EDGE_BUDGET,

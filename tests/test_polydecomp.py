@@ -7,9 +7,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SIMILARITIES, polygon_fixture_tps, strip_tp
+from conftest import (
+    REFLECTIONS,
+    SIMILARITIES,
+    convex_hexagon_tp,
+    lshape_polygon,
+    polygon_fixture_tps,
+    rect_tp,
+    strip_tp,
+    two_notch_polygon,
+    two_notch_tp,
+    ushape_polygon,
+    ushape_tp,
+)
 from grrdecomp import analysis, geometry, polydecomp
 from grrdecomp.analysis import (
+    polygon_conflicting_edge_pairs,
     polygon_is_grr,
     triangle_strip_hits,
     triangles_conflict,
@@ -22,15 +35,6 @@ from grrdecomp.errors import (
     NotCounterclockwiseError,
     NotSimplePolygonError,
     PieceNotSimpleError,
-)
-from grrdecomp.fixtures import (
-    convex_hexagon_tp,
-    lshape_polygon,
-    rect_tp,
-    two_notch_polygon,
-    two_notch_tp,
-    ushape_polygon,
-    ushape_tp,
 )
 from grrdecomp.geometry import Point, Polygon, point_in_polygon, pt
 from grrdecomp.oracle import random_triangulated_polygon
@@ -327,6 +331,44 @@ def test_dual_trees_are_similarity_invariant(diagonal_sets):
             assert _dual_tree_outcome(image, ds) == want
             compared += 1
     assert compared == 1000
+
+
+def _unlabelled_outcome(poly, ds, back):
+    """The conflicting boundary edge pairs, and "rejected" or the
+    triangles, dual edges and conflicting triangle pairs of ds, with
+    vertex v read as back[v] and each edge or triangle named by its
+    vertices."""
+    n = poly.n
+    edges = [frozenset((back[e], back[(e + 1) % n])) for e in range(n)]
+    edge_pairs = {frozenset((edges[e], edges[f]))
+                  for e, f in polygon_conflicting_edge_pairs(poly)}
+    try:
+        tp = build_dual_tree(poly, ds)
+    except CrossingDiagonalsError:
+        return edge_pairs, "rejected"
+    tri = [frozenset(back[v] for v in t) for t in tp.triangles]
+    dual, conflicts = ({frozenset((tri[i], tri[j])) for i, j in pairs}
+                       for pairs in (tp.dual_edges,
+                                     conflicting_triangle_pairs(tp)))
+    return edge_pairs, (set(tri), dual, conflicts)
+
+
+def test_polygons_are_reflection_invariant(diagonal_sets):
+    # a mirror image is listed backwards to stay counterclockwise, so its
+    # vertex v is vertex -v mod n: a triangle's vertices and a boundary
+    # edge's ends come in the other order, which the rotations never show
+    compared = rejected = 0
+    for poly, ds in diagonal_sets[1::16]:
+        back = [-v % poly.n for v in range(poly.n)]
+        want = _unlabelled_outcome(poly, ds, range(poly.n))
+        for m in REFLECTIONS:
+            image = Polygon(m(poly.points[v]) for v in back)
+            got = _unlabelled_outcome(
+                image, [(back[a], back[b]) for a, b in ds], back)
+            assert got == want
+            compared += 1
+            rejected += got[1] == "rejected"
+    assert compared == 250 and 0 < rejected < compared
 
 
 def test_strip_rows_match_the_per_pair_test(polygon_corpus, random_tps):

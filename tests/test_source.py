@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import grrdecomp
@@ -20,22 +21,34 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _named_defs():
+    """(label, name, is a method) for each def or class at the top of a
+    package module and each public method or property of its classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(Path(grrdecomp.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (*defs, ast.ClassDef)):
+                yield f"{path.name}:{node.name}", node.name, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, defs) and item.name[0] != "_":
+                        yield (f"{path.name}:{node.name}.{item.name}",
+                               item.name, True)
+
+
 def test_every_top_level_name_has_a_reader():
     # a helper whose callers were deleted must go with them: each def or
     # class at the top of a package module is named again somewhere in
-    # the sources, tests, demos or the bench
+    # the sources, tests, demos or the bench, and each public method or
+    # property of its classes is read there as an attribute, .name
     repo = Path(grrdecomp.__file__).resolve().parents[2]
     texts = [path.read_text(encoding="utf-8")
              for top in ("src", "tests", "demos", "perfbench")
              for path in sorted((repo / top).rglob("*.py"))]
-    unread = []
-    for path in sorted(Path(grrdecomp.__file__).parent.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                word = re.compile(rf"\b{node.name}\b")
-                if sum(len(word.findall(t)) for t in texts) < 2:
-                    unread.append(f"{path.name}:{node.name}")
+    words = Counter(w for t in texts for w in re.findall(r"\w+", t))
+    attrs = Counter(w for t in texts for w in re.findall(r"\.(\w+)", t))
+    unread = [label for label, name, method in _named_defs()
+              if (attrs[name] < 1 if method else words[name] < 2)]
     assert unread == []
 
 

@@ -2,11 +2,7 @@
 
 import pytest
 
-from grrdecomp.geometry import pt
-
-from grrdecomp.analysis import polygon_is_grr, trace_greedy_path
-from grrdecomp.drawing import default_root, root_tree
-from grrdecomp.fixtures import (
+from conftest import (
     USHAPE_FAILURE_PAIR,
     comb_drawing,
     lshape_polygon,
@@ -14,6 +10,10 @@ from grrdecomp.fixtures import (
     ushape_polygon,
     ushape_tp,
 )
+
+from grrdecomp.analysis import polygon_is_grr, trace_greedy_path
+from grrdecomp.drawing import default_root, root_tree
+from grrdecomp.geometry import pt
 from grrdecomp.polydecomp import decompose_polygon_exact_small
 from grrdecomp.svg import PALETTE, render_svg
 from grrdecomp.treedecomp import min_gtd_exact

@@ -12,8 +12,12 @@ import grrdecomp.treedecomp as treedecomp
 from conftest import (
     SIMILARITIES,
     assert_table_matches_direct_predicate,
+    comb_drawing,
     dp_table_digest,
+    p_acute,
+    plus_drawing,
     sawtooth,
+    star4_cross,
     sun_drawing,
     tree_fixture_drawings,
     zigzag,
@@ -26,12 +30,6 @@ from grrdecomp.drawing import (
     validate_drawing,
 )
 from grrdecomp.errors import GRRError
-from grrdecomp.fixtures import (
-    comb_drawing,
-    p_acute,
-    plus_drawing,
-    star4_cross,
-)
 from grrdecomp.geometry import Point, hp, in_hp, pt
 from grrdecomp.multicut import is_multicut
 from grrdecomp.oracle import random_tree_drawing
